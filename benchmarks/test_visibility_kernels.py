@@ -1,14 +1,13 @@
 """Dense vs. hierarchically-culled Eq. 1 kernels across block counts.
 
-The culled kernels exist for Table-I geometries: the dense kernel
+The culled kernel exists for Table-I geometries: the dense kernel
 materializes a ``(positions, blocks, 9, 3)`` broadcast, so its cost grows
 linearly with the block count no matter how narrow the view cone is,
-while the cone prescreen (``culled-flat``) and the two-level
-superblock cull (``culled``) only pay the exact Eq. 1 arithmetic for
-blocks whose bounding sphere grazes the widened cone.  This sweep pins
-both the crossover shape (culling wins big at >= 10^4 blocks, is
-harmless at 64) and correctness (every kernel's output is asserted
-identical to dense at every size).
+while the two-level superblock cull (``culled``) only pays the exact
+Eq. 1 arithmetic for blocks whose bounding sphere grazes the widened
+cone.  This sweep pins both the crossover shape (culling wins big at
+>= 10^4 blocks, is harmless at 64) and correctness (the culled output is
+asserted identical to dense at every size).
 
 Quick scale sweeps {64, 1000, 10648} blocks; ``REPRO_FULL=1`` adds the
 ~10^5-block grid from the paper's largest configurations.
@@ -50,7 +49,7 @@ def sizes(full_scale):
     return ("64", "1e3", "1e4", "1e5") if full_scale else ("64", "1e3", "1e4")
 
 
-@pytest.mark.parametrize("kernel", ("dense", "culled-flat", "culled"))
+@pytest.mark.parametrize("kernel", ("dense", "culled"))
 @pytest.mark.parametrize("label", ("64", "1e3", "1e4", "1e5"))
 def test_kernel_sweep(benchmark, kernel, label, sizes):
     """One path's visibility ground truth (32 cameras) per kernel per size."""

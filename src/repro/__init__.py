@@ -80,16 +80,11 @@ from repro.render import (
     evaluate_query,
 )
 from repro.core import (
-    AppAwareOptimizer,
-    OptimizerConfig,
     PipelineContext,
-    run_baseline,
     compute_visible_sets,
     collect_demand_trace,
     RunResult,
     StepMetrics,
-    run_temporal,
-    run_budgeted,
     render_quality_series,
     BudgetedResult,
     OutOfCoreSession,
@@ -100,6 +95,13 @@ from repro.prefetch import (
     TableLookupPrefetcher,
     MotionExtrapolationPrefetcher,
     MarkovPrefetcher,
+)
+from repro.runtime import (
+    AppAwareOptimizer,
+    OptimizerConfig,
+    run_baseline,
+    run_budgeted,
+    run_temporal,
     run_with_prefetcher,
 )
 from repro.experiments import (

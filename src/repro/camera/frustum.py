@@ -26,9 +26,8 @@ Two kernels evaluate the same predicate:
   widened cone cannot contain a visible test point — so the culled kernel
   is bit-for-bit identical to the dense one (hypothesis-pinned in
   ``tests/camera/test_frustum_culled.py``) while never materialising the
-  ``(N, n_blocks)`` mask.  ``kernel="culled-flat"`` skips the superblock
-  level (the micro-benchmark's middle rung); ``kernel="auto"`` picks
-  culled at or above :data:`AUTO_CULL_MIN_BLOCKS` blocks.
+  ``(N, n_blocks)`` mask.  ``kernel="auto"`` picks culled at or above
+  :data:`AUTO_CULL_MIN_BLOCKS` blocks.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ _EPS = 1e-12
 _CULL_SLACK = 1e-9
 
 #: Kernel names accepted by the ``kernel=`` arguments in this module.
-KERNELS = ("dense", "culled", "culled-flat", "auto")
+KERNELS = ("dense", "culled", "auto")
 
 #: ``kernel="auto"`` switches from dense to culled at this block count —
 #: below it the dense broadcast fits comfortably in cache and the cull
@@ -177,7 +176,7 @@ def visible_masks_batch(
     dense kernel, work is chunked over positions so the broadcast
     temporaries stay under ``chunk_bytes`` (cache-friendly per the HPC
     guides; the kernel itself is pure numpy broadcasting over
-    ``positions × blocks × test-points``).  A culled kernel computes the
+    ``positions × blocks × test-points``).  The culled kernel computes the
     sparse id lists and scatters them — the result is still the dense
     ``(N, n_blocks)`` array, so at large block counts prefer
     :func:`visible_ids_batch`, which never materialises it.
@@ -186,8 +185,7 @@ def visible_masks_batch(
     resolved = resolve_kernel(kernel, grid.n_blocks)
     if resolved != "dense":
         ids = _culled_ids_batch(
-            positions, grid, view_angle_deg, include_center, chunk_bytes,
-            two_level=(resolved == "culled"),
+            positions, grid, view_angle_deg, include_center, chunk_bytes
         )
         out = np.zeros((positions.shape[0], grid.n_blocks), dtype=bool)
         for i, row in enumerate(ids):
@@ -235,7 +233,7 @@ def visible_ids_batch(
 ) -> List[np.ndarray]:
     """Sparse visibility: one sorted int64 id array per camera position.
 
-    The culled kernels return exactly ``np.flatnonzero`` of the dense mask
+    The culled kernel returns exactly ``np.flatnonzero`` of the dense mask
     without ever building it; the dense kernel builds the mask in chunks
     and converts.  Output is identical across kernels (tested).
     """
@@ -247,8 +245,7 @@ def visible_ids_batch(
         )
         return [np.flatnonzero(m).astype(np.int64) for m in masks]
     return _culled_ids_batch(
-        positions, grid, view_angle_deg, include_center, chunk_bytes,
-        two_level=(resolved == "culled"),
+        positions, grid, view_angle_deg, include_center, chunk_bytes
     )
 
 
@@ -280,7 +277,7 @@ def _check_positions(positions: np.ndarray, view_angle_deg: float) -> np.ndarray
 
 
 class _CullIndex:
-    """Precomputed geometry for the culled kernels of one :class:`BlockGrid`.
+    """Precomputed geometry for the culled kernel of one :class:`BlockGrid`.
 
     Per-block bounding spheres (AABB center + half-diagonal radius: every
     Eq. 1 test point — the eight corners on the sphere, the center inside —
@@ -389,7 +386,6 @@ def _culled_ids_batch(
     view_angle_deg: float,
     include_center: bool,
     chunk_bytes: int,
-    two_level: bool,
 ) -> List[np.ndarray]:
     """The culled Eq. 1 evaluation: sorted visible ids per position."""
     index = _cull_index(grid)
@@ -403,8 +399,8 @@ def _culled_ids_batch(
 
     results: List[np.ndarray] = [None] * n_pos  # type: ignore[list-item]
     # Chunk positions so the (C, M) prescreen temporaries stay bounded;
-    # M is at most n_blocks (flat cull) so reuse the dense formula with a
-    # single "test point".
+    # M is at most n_blocks, so reuse the dense formula with a single
+    # "test point".
     chunk = max(
         broadcast_position_chunk(grid.n_blocks, 1, chunk_bytes), 64
     )
@@ -415,14 +411,11 @@ def _culled_ids_batch(
         axis, an = axis_all[start : start + chunk], an_all[start : start + chunk]
         n_chunk = pos.shape[0]
 
-        if two_level:
-            sup = _cone_prescreen(
-                pos, axis, an, index.super_centers, index.super_radii,
-                cos_half, sin_half,
-            )
-            cand = index.members_of(np.flatnonzero(sup.any(axis=0)))
-        else:
-            cand = np.arange(grid.n_blocks, dtype=np.int64)
+        sup = _cone_prescreen(
+            pos, axis, an, index.super_centers, index.super_radii,
+            cos_half, sin_half,
+        )
+        cand = index.members_of(np.flatnonzero(sup.any(axis=0)))
         if cand.size == 0:
             for c in range(n_chunk):
                 results[start + c] = empty

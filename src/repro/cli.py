@@ -43,7 +43,7 @@ from repro.cluster.shardmap import SHARD_STRATEGIES
 from repro.experiments.runner import ExperimentSetup, compare_policies
 from repro.faults import FAULT_PROFILES
 from repro.policies.registry import POLICY_NAMES
-from repro.runtime.config import REPLAY_ENGINES, WORKLOAD_NAMES, RunConfig
+from repro.runtime.config import WORKLOAD_NAMES, RunConfig
 from repro.runtime.registries import WORKLOADS, make_workload
 from repro.volume.datasets import DATASETS, dataset_table
 
@@ -73,9 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=list(POLICY_NAMES))
     rep.add_argument("--belady", action="store_true", help="include the offline bound")
     rep.add_argument("--no-app-aware", action="store_true")
-    rep.add_argument("--engine", choices=REPLAY_ENGINES, default="batched",
-                     help="replay engine: vectorized fast path (default) or the "
-                          "per-block scalar compatibility path")
     rep.add_argument("--shards", type=_positive_int, default=1,
                      help="simulated cluster nodes (1 = single box; >1 shards the "
                           "block grid and charges peer fetches on network links)")
@@ -137,9 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="directory the snapshot is written into (default: cwd)")
     ben.add_argument("--workers", type=_positive_int, default=1,
                      help="worker processes for the suite cells (default 1: serial)")
-    ben.add_argument("--engine", choices=REPLAY_ENGINES, default="batched",
-                     help="replay engine: vectorized fast path (default) or the "
-                          "per-block scalar compatibility path")
     ben.add_argument("--profile", type=Path, default=None, metavar="PATH",
                      help="also re-run one pinned cell with a span timeline and "
                           "write a Chrome-trace JSON there")
@@ -183,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="snapshot label: writes SERVE_<label>.json")
     srv.add_argument("--out", type=Path, default=Path("."),
                      help="directory the snapshot is written into (default: cwd)")
-    srv.add_argument("--engine", choices=REPLAY_ENGINES, default="batched")
     srv.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
                      help="compare two snapshots instead of running the scenario")
     srv.add_argument("--threshold", type=float, default=0.25,
@@ -345,7 +338,6 @@ def _cmd_replay(args) -> int:
         cache_ratio=config.cache_ratio,
         faults=config.faults,
         fault_seed=config.fault_seed,
-        engine=config.engine,
         shards=config.shards,
         shard_map=config.shard_map,
     )
@@ -595,7 +587,6 @@ def _cmd_bench(args) -> int:
             label=args.label,
             quick=args.quick,
             progress=print,
-            engine=config.engine,
         )
         path = write_bench(doc, args.out)
         cl = doc["cluster"]
@@ -622,7 +613,6 @@ def _cmd_bench(args) -> int:
             quick=args.quick,
             progress=print,
             workers=args.workers,
-            engine=config.engine,
             profile_path=args.profile,
         )
         path = write_bench(doc, args.out)
@@ -646,7 +636,6 @@ def _cmd_bench(args) -> int:
         quick=args.quick,
         progress=print,
         workers=args.workers,
-        engine=config.engine,
         profile_path=args.profile,
         faults=config.faults,
         fault_seed=config.fault_seed,
@@ -709,7 +698,7 @@ def _cmd_serve_sim(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = run_load(config, engine=args.engine, attribution=True)
+    doc = run_load(config, attribution=True)
     path = write_serve(doc, args.label, args.out)
     mt = doc["multi_tenant"]
     frames = mt["frame_times"]

@@ -1,11 +1,11 @@
-"""The paper's primary contribution: application-aware I/O optimization.
+"""Replay inputs and result records shared by every driver.
 
-:class:`AppAwareOptimizer` implements Algorithm 1 — importance preload,
-constrained-LRU demand fetching, and table-driven prefetch overlapped with
-rendering — on top of the substrates (volume blocks, storage hierarchy,
-camera prediction, importance tables).  :mod:`repro.core.pipeline` replays
-camera paths under any policy and produces comparable
-:class:`~repro.core.metrics.RunResult` records.
+:mod:`repro.core.pipeline` turns a camera path into the policy-independent
+visible sets a replay issues (:class:`PipelineContext`), and
+:mod:`repro.core.metrics` / :mod:`repro.core.interactive` hold the
+:class:`~repro.core.metrics.RunResult` and budgeted-replay records the
+drivers produce.  The drivers themselves — including Algorithm 1's
+:class:`~repro.runtime.AppAwareOptimizer` — live in :mod:`repro.runtime`.
 """
 
 from repro.core.metrics import StepMetrics, RunResult
@@ -19,25 +19,12 @@ from repro.core.interactive import (
     BudgetedStep,
     render_quality_series,
 )
-
-# Canonical drivers live in repro.runtime; the package-level names resolve
-# there so `from repro.core import run_baseline` stays warning-free.  The
-# module paths (repro.core.pipeline.run_baseline, ...) are deprecation shims.
-from repro.runtime.config import OptimizerConfig
-from repro.runtime.drivers import (
-    AppAwareOptimizer,
-    run_baseline,
-    run_budgeted,
-    run_temporal,
-)
 from repro.core.session import OutOfCoreSession
 from repro.core.results_io import run_to_dict, save_run_json, save_steps_csv, load_run_json
 
 __all__ = [
-    "run_temporal",
     "BudgetedResult",
     "BudgetedStep",
-    "run_budgeted",
     "render_quality_series",
     "OutOfCoreSession",
     "run_to_dict",
@@ -48,8 +35,5 @@ __all__ = [
     "RunResult",
     "compute_visible_sets",
     "collect_demand_trace",
-    "run_baseline",
     "PipelineContext",
-    "AppAwareOptimizer",
-    "OptimizerConfig",
 ]

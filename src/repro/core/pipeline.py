@@ -1,14 +1,14 @@
-"""Camera-path replay: visible-set computation and the baseline driver.
+"""Camera-path replay inputs: visible sets and the replay context.
 
 The demand access sequence of a replay is *policy independent* — which
 blocks are visible at step ``i`` depends only on the path and geometry —
-so :func:`compute_visible_sets` is shared by every driver and
-:func:`collect_demand_trace` can feed the offline Belady policy.
+so :func:`compute_visible_sets` is shared by every driver in
+:mod:`repro.runtime` and :func:`collect_demand_trace` can feed the
+offline Belady policy.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -16,28 +16,14 @@ import numpy as np
 
 from repro.camera.frustum import visible_ids_batch
 from repro.camera.path import CameraPath
-from repro.core.metrics import RunResult
 from repro.render.render_model import RenderCostModel
-from repro.storage.hierarchy import MemoryHierarchy
 from repro.volume.blocks import BlockGrid
 
 __all__ = [
     "compute_visible_sets",
     "collect_demand_trace",
-    "run_baseline",
     "PipelineContext",
-    "REPLAY_ENGINES",
 ]
-
-#: Replay fast-path choices accepted by every driver's ``engine`` argument.
-REPLAY_ENGINES = ("batched", "scalar")
-
-
-def _resolve_engine(engine: str) -> bool:
-    """Validate ``engine`` and return True for the batched fast path."""
-    if engine not in REPLAY_ENGINES:
-        raise ValueError(f"engine must be one of {REPLAY_ENGINES}, got {engine!r}")
-    return engine == "batched"
 
 
 def compute_visible_sets(
@@ -67,7 +53,7 @@ def collect_demand_trace(
 
     Feeding this to :class:`repro.policies.belady.BeladyPolicy` yields the
     offline-optimal baseline; the order (steps outer, ascending block id
-    inner) matches every driver in this module.
+    inner) matches every driver in :mod:`repro.runtime`.
     """
     if visible_sets is None:
         visible_sets = compute_visible_sets(path, grid)
@@ -108,42 +94,3 @@ class PipelineContext:
 
     def demand_trace(self) -> np.ndarray:
         return collect_demand_trace(self.path, self.grid, self.visible_sets)
-
-
-def run_baseline(
-    context: PipelineContext,
-    hierarchy: MemoryHierarchy,
-    name: Optional[str] = None,
-    protect_current_step: bool = False,
-    tracer=None,
-    registry=None,
-    profiler=None,
-    engine: str = "batched",
-    ctx=None,
-) -> RunResult:
-    """Deprecated shim: the driver moved to :func:`repro.runtime.run_baseline`.
-
-    Delegates unchanged (results are pinned identical by the runtime
-    equivalence suite).  For the shared ``tracer``/``registry``/``profiler``
-    and ``engine="batched"|"scalar"`` semantics see the
-    :mod:`repro.runtime.engine` reference.
-    """
-    warnings.warn(
-        "repro.core.pipeline.run_baseline is deprecated; "
-        "use repro.runtime.run_baseline",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.runtime.drivers import run_baseline as _impl
-
-    return _impl(
-        context,
-        hierarchy,
-        name=name,
-        protect_current_step=protect_current_step,
-        tracer=tracer,
-        registry=registry,
-        profiler=profiler,
-        engine=engine,
-        ctx=ctx,
-    )

@@ -28,7 +28,12 @@ from repro.camera.sampling import SamplingConfig
 from repro.core.interactive import render_quality_series
 from repro.core.pipeline import PipelineContext
 from repro.core.schedule import event_driven_total_time
-from repro.runtime.drivers import run_budgeted, run_temporal
+from repro.runtime.drivers import (
+    run_baseline,
+    run_budgeted,
+    run_temporal,
+    run_with_prefetcher,
+)
 from repro.experiments.figures import FigureResult
 from repro.experiments.runner import ExperimentSetup, compare_policies
 from repro.prefetch import (
@@ -36,7 +41,6 @@ from repro.prefetch import (
     MotionExtrapolationPrefetcher,
     NoPrefetcher,
     TableLookupPrefetcher,
-    run_with_prefetcher,
 )
 from repro.render.isosurface import isosurface_blocks
 from repro.render.query import BlockRangeIndex, RangeQuery, evaluate_query
@@ -361,7 +365,6 @@ def iso_sweep(full: bool = False, seed: int = 7) -> List[FigureResult]:
     working_sets = [isosurface_blocks(index, "var0", float(v)) for v in isos]
 
     from repro.camera.path import spherical_path
-    from repro.core.pipeline import run_baseline
     from repro.importance.entropy import block_entropies
     from repro.render.render_model import RenderCostModel
     from repro.tables.importance_table import ImportanceTable

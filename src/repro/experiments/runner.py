@@ -203,7 +203,6 @@ def compare_policies(
     cache_ratio: Optional[float] = None,
     faults: str = "none",
     fault_seed: int = 0,
-    engine: str = "batched",
     shards: int = 1,
     shard_map: str = "slab",
 ) -> Dict[str, RunResult]:
@@ -240,7 +239,6 @@ def compare_policies(
         results[policy] = run_baseline(
             context,
             setup.hierarchy(policy, cache_ratio, **shard_kwargs),
-            engine=engine,
             ctx=_ctx(),
         )
     if include_belady:
@@ -251,14 +249,13 @@ def compare_policies(
             cache_ratio=setup.cache_ratio if cache_ratio is None else cache_ratio,
         )
         results["belady"] = run_baseline(
-            context, hierarchy, name="baseline-belady", engine=engine, ctx=_ctx()
+            context, hierarchy, name="baseline-belady", ctx=_ctx()
         )
     if include_app_aware:
         optimizer = setup.optimizer(optimizer_config)
         results["opt"] = optimizer.run(
             context,
             setup.hierarchy("lru", cache_ratio, **shard_kwargs),
-            engine=engine,
             ctx=_ctx(),
         )
     return results

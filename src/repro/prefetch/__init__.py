@@ -13,8 +13,7 @@ prediction:
   prediction (first-order successor counting on block appearances).
 
 :func:`repro.runtime.run_with_prefetcher` replays a camera path with
-any strategy under the same accounting as the core pipeline (the
-``repro.prefetch.driver`` path is a deprecation shim).
+any strategy under the same accounting as the core pipeline.
 """
 
 from repro.prefetch.base import Prefetcher
@@ -24,7 +23,6 @@ from repro.prefetch.strategies import (
     MotionExtrapolationPrefetcher,
     MarkovPrefetcher,
 )
-from repro.runtime.drivers import run_with_prefetcher
 
 __all__ = [
     "Prefetcher",
@@ -32,5 +30,4 @@ __all__ = [
     "TableLookupPrefetcher",
     "MotionExtrapolationPrefetcher",
     "MarkovPrefetcher",
-    "run_with_prefetcher",
 ]

@@ -1,22 +1,19 @@
 """Unified replay runtime: one engine, one context, pluggable stages.
 
-This package replaces the five hand-rolled replay loops that used to live
-in ``core/pipeline.py``, ``prefetch/driver.py``, ``core/interactive.py``,
-``core/temporal.py`` and ``core/optimizer.py`` with a single composable
-:class:`SimulationEngine`:
+Every replay mode — baseline, strategy prefetch, budgeted, temporal and
+Algorithm 1 — runs through a single composable :class:`SimulationEngine`:
 
 - :class:`RunConfig` — frozen, schema-validated description of a run
-  (dataset/workload/policy/prefetcher/engine/faults/budget), round-
-  trippable through ``to_dict``/``from_dict`` and buildable from the CLI;
+  (dataset/workload/policy/prefetcher/faults/budget), round-trippable
+  through ``to_dict``/``from_dict`` and buildable from the CLI;
 - :class:`RunContext` — the cross-cutting services (tracer, metrics
   registry, profiler, fault injector, sim clock, rng) that previously
   travelled as repeated keyword arguments;
 - :class:`SimulationEngine` + :mod:`~repro.runtime.stages` — the step loop
   (demand fetch → render → overlap prefetch → budget enforcement →
   bookkeeping) as an ordered stage recipe;
-- :mod:`~repro.runtime.drivers` — the five historical drivers, each now a
-  ~20-line recipe; the old import paths delegate here via deprecation
-  shims;
+- :mod:`~repro.runtime.drivers` — the replay drivers, each a ~20-line
+  stage recipe;
 - :mod:`~repro.runtime.registries` — stage/prefetcher/workload/policy
   registries, so new behaviours are registered rather than threaded;
 - :mod:`~repro.runtime.sessions` — the event-driven multi-tenant session
@@ -30,7 +27,6 @@ See ``DESIGN.md`` ("The runtime engine") for the architecture diagram and
 from repro.runtime.config import (
     CLI_FIELD_MAP,
     CLI_ONLY_FLAGS,
-    REPLAY_ENGINES,
     RUN_CONFIG_SCHEMA,
     OptimizerConfig,
     RunConfig,
@@ -44,6 +40,7 @@ from repro.runtime.drivers import (
     run_with_prefetcher,
 )
 from repro.runtime.engine import (
+    REPLAY_ENGINES,
     BudgetedCollector,
     Collector,
     SimulationEngine,

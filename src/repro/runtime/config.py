@@ -2,8 +2,8 @@
 
 :class:`RunConfig` is the single description of "one replay comparison":
 which dataset/workload to replay, which policies and prefetcher to compare,
-which engine variant to use, what faults to inject, and what per-frame I/O
-budget (if any) applies.  It is
+what faults to inject, and what per-frame I/O budget (if any) applies.
+It is
 
 - **frozen** — a config never mutates after construction;
 - **schema-validated** — every field is checked against
@@ -15,8 +15,12 @@ budget (if any) applies.  It is
   itself are enumerated in :data:`CLI_ONLY_FLAGS`, and the test suite
   asserts no flag falls through the cracks).
 
-:class:`OptimizerConfig` (the Algorithm 1 tunables) also lives here; the
-old ``repro.core.optimizer`` import path re-exports it unchanged.
+:class:`OptimizerConfig` (the Algorithm 1 tunables) also lives here.
+
+There is no engine field: runs always take the batched fast path.  The
+per-block ``engine="scalar"`` variant is an argument of
+:class:`~repro.runtime.engine.SimulationEngine` and the drivers only,
+where the equivalence suites use it as an oracle.
 """
 
 from __future__ import annotations
@@ -36,12 +40,7 @@ __all__ = [
     "RUN_CONFIG_SCHEMA",
     "CLI_FIELD_MAP",
     "CLI_ONLY_FLAGS",
-    "REPLAY_ENGINES",
 ]
-
-#: Replay fast-path choices accepted by every recipe's ``engine`` argument.
-#: (Canonical home; ``repro.core.pipeline`` re-exports it for compatibility.)
-REPLAY_ENGINES = ("batched", "scalar")
 
 #: Workload (camera path) generators the runtime knows how to build — the
 #: scenario zoo.  The registry in ``repro.runtime.registries`` documents
@@ -90,16 +89,11 @@ def _check_workload(field: str, value: Any, _cfg: "RunConfig") -> None:
 
 
 def _check_shard_map(field: str, value: Any, _cfg: "RunConfig") -> None:
-    # Lazy: repro.cluster sits above the runtime layer (it imports the
-    # prefetch package, which imports the drivers, which import this
-    # module), so a top-level import here would be circular.
+    # Lazy: repro.cluster sits above the runtime layer, so a top-level
+    # import here would invert the package layering.
     from repro.cluster.shardmap import SHARD_STRATEGIES
 
     _check_choice(field, value, SHARD_STRATEGIES)
-
-
-def _check_engine(field: str, value: Any, _cfg: "RunConfig") -> None:
-    _check_choice(field, value, REPLAY_ENGINES)
 
 
 def _check_faults(field: str, value: Any, cfg: "RunConfig") -> None:
@@ -205,7 +199,6 @@ RUN_CONFIG_SCHEMA: Dict[str, Tuple[Callable[[str, Any, "RunConfig"], None], str]
     "belady": (_check_bool, "include the offline Belady bound"),
     "app_aware": (_check_bool, "include the paper's app-aware optimizer"),
     "prefetcher": (_check_prefetcher, "prefetch strategy of the primary run"),
-    "engine": (_check_engine, "replay engine: batched fast path or scalar"),
     "faults": (_check_faults, "named fault profile injected into the storage stack"),
     "fault_seed": (_check_fault_seed, "seed of the deterministic fault draws"),
     "io_budget_s": (_check_optional_positive, "per-frame demand-I/O budget (None: stall)"),
@@ -239,7 +232,6 @@ class RunConfig:
     belady: bool = False
     app_aware: bool = True
     prefetcher: str = "none"
-    engine: str = "batched"
     faults: str = "none"
     fault_seed: int = 0
     io_budget_s: Optional[float] = None
@@ -352,7 +344,6 @@ CLI_FIELD_MAP: Dict[str, str] = {
     "policies": "policies",
     "belady": "belady",
     "no_app_aware": "app_aware",
-    "engine": "engine",
     "faults": "faults",
     "fault_seed": "fault_seed",
     "shards": "shards",

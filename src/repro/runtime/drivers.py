@@ -1,16 +1,11 @@
-"""Canonical replay drivers, expressed as :class:`SimulationEngine` recipes.
+"""The replay drivers, expressed as :class:`SimulationEngine` recipes.
 
-Each function here is the *authoritative* implementation of a replay mode;
-the historical import paths (``repro.core.pipeline.run_baseline``,
-``repro.prefetch.driver.run_with_prefetcher``,
-``repro.core.interactive.run_budgeted``, ``repro.core.temporal.run_temporal``
-and ``repro.core.optimizer.AppAwareOptimizer``) are deprecation shims that
-delegate here.  A driver builds a stage list + collector and hands them to
-the engine — the loop itself lives in exactly one place now.
+Each function here is the one implementation of a replay mode.  A driver
+builds a stage list + collector and hands them to the engine, so the
+step loop itself lives in exactly one place.
 
 For the ``engine="batched"|"scalar"`` semantics shared by every driver see
-:mod:`repro.runtime.engine` (the module docstring is the single reference;
-the per-driver boilerplate that used to repeat it is gone).
+:mod:`repro.runtime.engine` (the module docstring is the single reference).
 """
 
 from __future__ import annotations

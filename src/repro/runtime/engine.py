@@ -1,24 +1,27 @@
 """The single replay step loop, composed from pluggable stages.
 
-:class:`SimulationEngine` is what the five legacy drivers each hand-rolled:
-one pass over a camera path's visible sets, calling an ordered list of
-:class:`~repro.runtime.stages.Stage` objects per view point and handing the
-finished :class:`~repro.runtime.stages.Frame` to a *collector* that rows it
-up into the run's result type.  A legacy driver is now a *recipe* — a
-particular stage list plus collector — built by
-:mod:`repro.runtime.drivers`.
+:class:`SimulationEngine` makes one pass over a camera path's visible
+sets, calling an ordered list of :class:`~repro.runtime.stages.Stage`
+objects per view point and handing the finished
+:class:`~repro.runtime.stages.Frame` to a *collector* that rows it up into
+the run's result type.  Each driver in :mod:`repro.runtime.drivers` is a
+*recipe* — a particular stage list plus collector.
 
-Engine variants (see :data:`repro.runtime.config.REPLAY_ENGINES`):
+Engine variants (:data:`REPLAY_ENGINES`):
 
 - ``"batched"`` (default) — stages drive the hierarchy through the
   vectorized ``fetch_many``/``prefetch_many`` fast paths, one call per
   step;
-- ``"scalar"`` — stages issue one ``fetch`` per block, the compatibility
-  path.
+- ``"scalar"`` — stages issue one ``fetch`` per block.
 
 Both produce identical results: simulated clocks, cache stats, byte
 ledger, and trace stream are pinned against each other (and against
-frozen copies of the pre-runtime drivers) by the equivalence suite.
+frozen copies of the pre-runtime drivers) by the equivalence suites.
+Every user-facing run (CLI, ``RunConfig``, matrix specs, bench tiers)
+takes the batched path; ``"scalar"`` is reachable only through the
+``engine=`` argument here, on the drivers and on
+:func:`~repro.runtime.sessions.run_sessions`, as the per-block oracle
+those suites compare against.
 """
 
 from __future__ import annotations
@@ -28,17 +31,21 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.metrics import RunResult, StepMetrics
-from repro.runtime.config import REPLAY_ENGINES
 from repro.runtime.context import RunContext
 from repro.runtime.stages import Frame, Stage
 
 __all__ = [
+    "REPLAY_ENGINES",
     "SimulationEngine",
     "Collector",
     "StepMetricsCollector",
     "BudgetedCollector",
     "movement_extras",
 ]
+
+#: Values of the ``engine`` argument: the batched fast path and the
+#: per-block oracle.
+REPLAY_ENGINES = ("batched", "scalar")
 
 #: sim-clock channel -> StepMetrics field, for end-of-run charge_sim.
 _CHANNEL_FIELDS = {

@@ -3,7 +3,7 @@
 ``T_visible`` maps a sampled camera position key ``<l, d>`` to its
 predicted visible block set ``S_v``; ``T_important`` ranks blocks by
 importance.  Both are built once by :mod:`repro.tables.builder` and used
-at run time by :class:`repro.core.optimizer.AppAwareOptimizer`.
+at run time by :class:`repro.runtime.AppAwareOptimizer`.
 """
 
 from repro.tables.importance_table import ImportanceTable

@@ -261,8 +261,8 @@ def build_visible_table(
         When both are given, any ``S_v`` larger than ``max_set_size`` keeps
         only its most important blocks (over-prediction truncation).
     kernel:
-        Visibility kernel (``"dense"``, ``"culled"``, ``"culled-flat"`` or
-        ``"auto"``).  All kernels produce the identical table.
+        Visibility kernel (``"dense"``, ``"culled"`` or ``"auto"``).  All
+        kernels produce the identical table.
     """
     positions = sample_positions(sampling)
     n_samples = positions.shape[0]

@@ -4,7 +4,7 @@ The prescreen is conservative (a bounding sphere outside the widened cone
 cannot contain a visible test point) and the exact corner test runs the
 dense kernel's elementwise arithmetic on the survivors, so every output —
 masks, sorted id lists, and the CSR table build downstream — must be
-byte-identical across ``kernel=`` values.  Hypothesis sweeps random grids,
+byte-identical between ``kernel="culled"`` and ``kernel="dense"``.  Hypothesis sweeps random grids,
 angles, and camera placements, including the adversarial ones: cameras
 inside blocks, at the centroid (degenerate view axis), grazing the cone
 boundary, and ``include_center=False``.
@@ -26,9 +26,6 @@ from repro.camera.frustum import (
 )
 from repro.volume.blocks import BlockGrid
 
-CULLED = ("culled", "culled-flat")
-
-
 @pytest.fixture(scope="module")
 def grid():
     return BlockGrid((32, 32, 32), (4, 4, 4))  # 8x8x8 = 512 blocks
@@ -38,13 +35,12 @@ def _assert_all_kernels_equal(positions, grid, angle, include_center):
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
     dense = visible_masks_batch(positions, grid, angle, include_center, kernel="dense")
     dense_ids = visible_ids_batch(positions, grid, angle, include_center, kernel="dense")
-    for kernel in CULLED:
-        masks = visible_masks_batch(positions, grid, angle, include_center, kernel=kernel)
-        assert np.array_equal(dense, masks), kernel
-        ids = visible_ids_batch(positions, grid, angle, include_center, kernel=kernel)
-        for row_dense, row in zip(dense_ids, ids):
-            assert row.dtype == np.int64
-            assert np.array_equal(row_dense, row), kernel
+    masks = visible_masks_batch(positions, grid, angle, include_center, kernel="culled")
+    assert np.array_equal(dense, masks)
+    ids = visible_ids_batch(positions, grid, angle, include_center, kernel="culled")
+    for row_dense, row in zip(dense_ids, ids):
+        assert row.dtype == np.int64
+        assert np.array_equal(row_dense, row)
     return dense
 
 
@@ -106,11 +102,10 @@ class TestDenseCulledEquivalence:
         g = BlockGrid((32, 32, 32), (4, 4, 4))
         rng = np.random.default_rng(3)
         positions = rng.uniform(-3, 3, size=(13, 3))
-        for kernel in CULLED:
-            tiny = visible_ids_batch(positions, g, angle, kernel=kernel, chunk_bytes=1)
-            big = visible_ids_batch(positions, g, angle, kernel=kernel)
-            for a, b in zip(tiny, big):
-                assert np.array_equal(a, b)
+        tiny = visible_ids_batch(positions, g, angle, kernel="culled", chunk_bytes=1)
+        big = visible_ids_batch(positions, g, angle, kernel="culled")
+        for a, b in zip(tiny, big):
+            assert np.array_equal(a, b)
 
 
 class TestKernelSelection:
@@ -118,7 +113,7 @@ class TestKernelSelection:
         assert resolve_kernel("auto", AUTO_CULL_MIN_BLOCKS - 1) == "dense"
         assert resolve_kernel("auto", AUTO_CULL_MIN_BLOCKS) == "culled"
         assert resolve_kernel("dense", 10**6) == "dense"
-        assert resolve_kernel("culled-flat", 8) == "culled-flat"
+        assert resolve_kernel("culled", 8) == "culled"
 
     def test_unknown_kernel_rejected(self, grid):
         with pytest.raises(ValueError, match="kernel"):
@@ -130,9 +125,8 @@ class TestKernelSelection:
         pos = np.array([2.5, 0.3, -0.2])
         dense_mask = visible_mask(pos, grid, 20.0, kernel="dense")
         dense_ids = visible_blocks(pos, grid, 20.0, kernel="dense")
-        for kernel in CULLED:
-            assert np.array_equal(dense_mask, visible_mask(pos, grid, 20.0, kernel=kernel))
-            assert np.array_equal(dense_ids, visible_blocks(pos, grid, 20.0, kernel=kernel))
+        assert np.array_equal(dense_mask, visible_mask(pos, grid, 20.0, kernel="culled"))
+        assert np.array_equal(dense_ids, visible_blocks(pos, grid, 20.0, kernel="culled"))
 
     def test_broadcast_position_chunk_never_degenerate(self):
         # The shared heuristic must stay >= 1 even when one position's

@@ -1,10 +1,11 @@
 """Smoke tests for the cheap extension experiments.
 
 The expensive ones (prefetch sweep, interactive quality, temporal,
-scheduling) run in the benchmark suite; the two sub-second ones are
-exercised here so the extensions module has test coverage in the unit
-suite too.
+scheduling) run in the benchmark suite; the cheap ones are exercised here
+so the extensions module has test coverage in the unit suite too.
 """
+
+import warnings
 
 from repro.experiments import extensions
 
@@ -25,3 +26,15 @@ class TestMultiresTradeoff:
         assert panel.meta["lod_bytes"] < panel.meta["full_bytes"]
         assert panel.series["hist_L1"][0] == 0.0
         assert panel.series["hist_L1"][-1] > 0.0
+
+
+class TestIsoSweep:
+    def test_structure_and_claims(self):
+        # Runs on the canonical drivers only: no deprecated entry point.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            (panel,) = extensions.iso_sweep()
+        assert panel.figure == "ext_iso_sweep"
+        assert panel.x_values == ["fifo", "lru", "belady", "lru+preload"]
+        miss = dict(zip(panel.x_values, panel.series["miss_rate"]))
+        assert miss["belady"] <= min(miss["fifo"], miss["lru"])

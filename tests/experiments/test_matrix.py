@@ -129,6 +129,18 @@ class TestSpecValidation:
         ):
             assert fragment in msg, fragment
 
+    @pytest.mark.parametrize(
+        "section", [{"base": {"engine": "scalar"}}, {"axes": {"engine": ["batched", "scalar"]}}]
+    )
+    def test_engine_is_not_a_spec_field(self, section):
+        """Specs cannot select the per-block engine: one line names the
+        offending field."""
+        with pytest.raises(ValueError) as err:
+            spec_from_dict({"matrix": {"label": "x"}, **section}, where="unit")
+        msg = str(err.value)
+        assert "'engine' is not a RunConfig field" in msg
+        assert "\n" not in msg
+
     def test_base_axes_overlap_rejected(self):
         with pytest.raises(ValueError, match=r"\['policy'\] appear in both"):
             spec_from_dict({

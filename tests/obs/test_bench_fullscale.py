@@ -78,9 +78,7 @@ class TestRunFullscale:
         assert d["profile"]["path"] == str(out)
         assert out.exists()
 
-    def test_bad_engine_and_workers_rejected(self):
-        with pytest.raises(ValueError):
-            run_fullscale(config=_TINY, engine="turbo")
+    def test_bad_workers_rejected(self):
         with pytest.raises(ValueError):
             run_fullscale(config=_TINY, workers=0)
 

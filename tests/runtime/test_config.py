@@ -25,7 +25,7 @@ class TestValidation:
             {"policies": ["lru"]},  # list, not tuple
             {"prefetcher": "psychic"},
             {"workload": "teleport"},
-            {"engine": "quantum"},
+            {"sessions": 0},
             {"faults": "meteor-strike"},
             {"dataset": "no_such_dataset"},
             {"blocks": 0},
@@ -62,7 +62,7 @@ class TestRoundTrip:
         cfg = RunConfig(
             dataset="3d_ball", blocks=64, workload="zoom", steps=9,
             degrees=(1.0, 2.0), policies=("lru", "arc"), belady=True,
-            engine="scalar", faults="chaos", fault_seed=5, io_budget_s=0.25,
+            faults="chaos", fault_seed=5, io_budget_s=0.25,
         )
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
@@ -74,6 +74,15 @@ class TestRoundTrip:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown RunConfig field"):
             RunConfig.from_dict({"steps": 5, "warp_factor": 9})
+
+    def test_engine_is_not_a_config_field(self):
+        """The per-block engine is a test oracle, not a run setting: a
+        config asking for it fails with one line naming the field."""
+        with pytest.raises(ValueError) as err:
+            RunConfig.from_dict({"engine": "scalar"})
+        msg = str(err.value)
+        assert "unknown RunConfig field(s) ['engine']" in msg
+        assert "\n" not in msg
 
 
 class TestFromCli:
@@ -89,7 +98,7 @@ class TestFromCli:
                 "--seed", "4", "--path-type", "zoom", "--steps", "9",
                 "--degrees", "1", "2", "--distance", "3.0",
                 "--cache-ratio", "0.25", "--policies", "lru", "arc",
-                "--belady", "--no-app-aware", "--engine", "scalar",
+                "--belady", "--no-app-aware",
                 "--faults", "chaos", "--fault-seed", "5",
             ]
         )
@@ -98,16 +107,14 @@ class TestFromCli:
             dataset="3d_ball", blocks=64, seed=4, workload="zoom", steps=9,
             degrees=(1.0, 2.0), distance=3.0, cache_ratio=0.25,
             policies=("lru", "arc"), belady=True, app_aware=False,
-            engine="scalar", faults="chaos", fault_seed=5,
+            faults="chaos", fault_seed=5,
         )
 
     def test_bench_flags_map_onto_fields(self):
         args = build_parser().parse_args(
-            ["bench", "--engine", "scalar", "--faults", "flaky-hdd",
-             "--fault-seed", "2"]
+            ["bench", "--faults", "flaky-hdd", "--fault-seed", "2"]
         )
         cfg = RunConfig.from_cli(args, command="bench")
-        assert cfg.engine == "scalar"
         assert cfg.faults == "flaky-hdd"
         assert cfg.fault_seed == 2
 
@@ -115,6 +122,17 @@ class TestFromCli:
         args = build_parser().parse_args(["replay", "--fault-seed", "9"])
         with pytest.raises(ValueError, match="conflicts"):
             RunConfig.from_cli(args, command="replay")
+
+    @pytest.mark.parametrize("command", ["replay", "bench", "serve-sim"])
+    def test_engine_flag_removed(self, command, capsys):
+        """No subcommand offers ``--engine``: argparse rejects it with its
+        usage line and exit status 2, never a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--engine", "scalar"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --engine scalar" in err
+        assert "Traceback" not in err
 
     def test_unknown_command_raises(self):
         args = build_parser().parse_args(["replay"])

@@ -460,6 +460,13 @@ class TestMatrix:
         rc = main(["matrix", "compare", "nope.json", "also-nope.json"])
         assert rc == 2
 
+    def test_engine_key_in_spec_is_one_line_error(self, tmp_path, capsys):
+        spec = tmp_path / "eng.toml"
+        spec.write_text('[matrix]\nlabel = "eng"\n[base]\nengine = "scalar"\n')
+        assert main(["matrix", "run", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'engine' is not a RunConfig field" in err
+
     def test_label_override(self, tmp_path):
         assert main([
             "matrix", "run", "smoke", "--label", "renamed",
