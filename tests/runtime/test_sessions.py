@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.policies.lru import LRUPolicy
 from repro.runtime.context import RunContext
 from repro.runtime.drivers import run_baseline
@@ -13,6 +14,7 @@ from repro.core.pipeline import PipelineContext
 from repro.storage.cache import CacheLevel
 from repro.storage.device import DRAM, HDD, SSD
 from repro.storage.hierarchy import MemoryHierarchy, make_standard_hierarchy
+from repro.trace import Tracer, aggregate
 
 VIEW = 10.0
 
@@ -200,6 +202,57 @@ class TestSingleSessionEquivalence:
         ).runs["solo"]
         assert scheduled.steps == baseline.steps
         assert scheduled.hierarchy_stats == baseline.hierarchy_stats
+
+
+def _instrumented_sessions(grid, engine, faults):
+    """The serve scenario (8 mixed sessions, equal tenant quotas,
+    attribution) on one ``engine``, with a metrics registry, per-event
+    trace and an optional fault profile on the shared context."""
+    ctx = RunContext.create(
+        tracer=Tracer(), registry=MetricsRegistry(), faults=faults, fault_seed=7,
+    )
+    result = run_sessions(
+        _mixed_specs(8), _hierarchy(grid), grid, view_angle_deg=VIEW, ctx=ctx,
+        partition="equal", attribution=True, engine=engine,
+    )
+    metrics = ctx.registry.snapshot()
+    # observe_many associates value*n, a last-bit float difference in the
+    # histogram sum/mean; every count and bucket must still match.
+    for hist in metrics["histograms"].values():
+        hist.pop("sum")
+        hist.pop("mean")
+    injector = ctx.fault_injector
+    return {
+        "doc": result.as_dict(),
+        "steps": {sid: run.steps for sid, run in result.runs.items()},
+        "hierarchy_stats": {
+            sid: run.hierarchy_stats for sid, run in result.runs.items()
+        },
+        "extras": {sid: run.extras for sid, run in result.runs.items()},
+        "metrics": metrics,
+        "trace": aggregate(ctx.tracer.events()),
+        "faults": None if injector is None else injector.stats.as_dict(),
+    }
+
+
+class TestEngineEquivalence:
+    """The per-block scalar engine is the oracle for the batched fast path
+    under multi-tenant scheduling too: quota admission, cross-tenant
+    eviction accounting and per-tenant attribution must agree."""
+
+    @pytest.mark.parametrize("faults", ["none", "flaky-hdd"])
+    def test_partitioned_sessions_scalar_matches_batched(self, small_grid, faults):
+        batched, scalar = (
+            _instrumented_sessions(small_grid, engine, faults)
+            for engine in ("batched", "scalar")
+        )
+        for section in batched:
+            assert scalar[section] == batched[section], section
+        doc = batched["doc"]
+        assert doc["n_sessions"] == 8 and doc["quotas"]
+        assert set(doc["attribution"]["tenants"]) == {f"s{i}" for i in range(8)}
+        if faults != "none":
+            assert batched["faults"]["errors"] > 0
 
 
 class TestScheduling:
