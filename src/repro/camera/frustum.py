@@ -366,7 +366,10 @@ def _cone_prescreen(
     α = asin(r/d) is fully outside the cone when β > θ/2 + α; comparing
     cosines via cos(θ/2 + α) = cos(θ/2)·cosα − sin(θ/2)·sinα avoids any
     transcendental.  A sphere containing the camera (d ≤ r) can never be
-    culled — that covers the camera-inside-block visibility rule.
+    culled — that covers the camera-inside-block visibility rule.  Nor is
+    a pair whose ``d·|axis|`` falls under the ``_EPS`` clamp (a camera
+    within ~1e-12 of the centroid): there the clamped ``cos_beta`` is
+    shrunk toward zero and no longer bounds the exact test from above.
     """
     delta = centers[None, :, :] - pos[:, None, :]  # (C, M, 3)
     d = np.sqrt(np.einsum("cmk,cmk->cm", delta, delta))
@@ -374,10 +377,9 @@ def _cone_prescreen(
     sin_a = np.minimum(1.0, radii[None, :] / np.maximum(d, _EPS))
     cos_a = np.sqrt(np.maximum(0.0, 1.0 - sin_a * sin_a))
     cone_cos = cos_half * cos_a - sin_half * sin_a
-    cos_beta = np.einsum("cmk,ck->cm", delta, axis) / np.maximum(
-        d * an[:, None], _EPS
-    )
-    return contains | (cos_beta >= cone_cos - _CULL_SLACK)
+    d_an = d * an[:, None]
+    cos_beta = np.einsum("cmk,ck->cm", delta, axis) / np.maximum(d_an, _EPS)
+    return contains | (d_an < _EPS) | (cos_beta >= cone_cos - _CULL_SLACK)
 
 
 def _culled_ids_batch(

@@ -85,6 +85,16 @@ class TestDenseCulledEquivalence:
         _assert_all_kernels_equal(np.zeros(3), grid, 10.0, True)
         _assert_all_kernels_equal(np.zeros(3), grid, 10.0, False)
 
+    def test_camera_near_centroid_clamped_axis(self):
+        """A camera ~1e-12 from the centroid: both kernels clamp the
+        cosine denominator at ``_EPS``, which must not let the prescreen
+        cull blocks the exact test keeps."""
+        g = BlockGrid((16, 16, 16), (4, 4, 4))
+        for pos in ([0.0, 0.0, 1e-12], [3e-13, -2e-13, 0.0]):
+            dense = _assert_all_kernels_equal(np.array(pos), g, 1.0, True)
+            _assert_all_kernels_equal(np.array(pos), g, 1.0, False)
+        assert dense.any()
+
     def test_cone_boundary_grazing(self, grid):
         """Angles chosen so block corners sit near the exact cos threshold —
         the prescreen slack must keep every borderline block a survivor."""
