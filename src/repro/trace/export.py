@@ -15,6 +15,7 @@ nanosecond-scale DRAM reads stay visible next to millisecond HDD seeks.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Union
 
@@ -42,8 +43,10 @@ def read_jsonl(path: PathLike) -> List[TraceEvent]:
     """Parse a file written by :func:`write_jsonl` (blank lines ignored).
 
     Raises a one-line :class:`ValueError` naming the file (and line) on an
-    empty file or a truncated/corrupt line, so CLI consumers can report it
-    without a traceback.
+    empty file or a truncated/corrupt line — including a non-finite
+    ``time_s`` (``NaN``/``Infinity``, which JSON readers accept but no
+    time ledger can hold) — so CLI consumers can report it without a
+    traceback.
     """
     path = Path(path)
     out: List[TraceEvent] = []
@@ -53,7 +56,10 @@ def read_jsonl(path: PathLike) -> List[TraceEvent]:
             if not line:
                 continue
             try:
-                out.append(TraceEvent.from_dict(json.loads(line)))
+                event = TraceEvent.from_dict(json.loads(line))
+                if not math.isfinite(event.time_s):
+                    raise ValueError(f"time_s must be finite, got {event.time_s}")
+                out.append(event)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(
                     f"{path}:{lineno}: truncated or corrupt trace line ({exc})"

@@ -327,6 +327,21 @@ class TestAnalyze:
         assert err.startswith("error:") and "truncated" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_time_one_line_error(self, tmp_path, capsys, value):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"seq":0,"kind":"fetch","step":0,"level":"hdd","key":1,'
+            f'"nbytes":1024,"time_s":{value}}}\n'
+        )
+        rc = main(["analyze", str(path), "--out", str(tmp_path / "r.html")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{path}:1:" in err and "finite" in err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.html").exists()
+
     def test_missing_source_one_line_error(self, tmp_path, capsys):
         rc = main(["analyze", str(tmp_path / "nope.json")])
         assert rc == 2
