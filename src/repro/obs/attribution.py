@@ -21,21 +21,28 @@ group totals.  ``reconciled`` is then a float ``==`` against the
 ledger, not a tolerance check.
 
 **Invariant B (exact partition).**  Component shares are telescoping
-marginals in :class:`fractions.Fraction` (binary floats are dyadic
-rationals, so every marginal is exact): each event's share is
-``F(inner_after) − F(inner_before)``, each group's share of the channel
-total is ``F(outer_after) − F(outer_before)``, and the rounding *dust*
-between a group's outer marginal and the sum of its inner marginals is
-assigned to the group's dominant component (the closing movement's,
-else the fault penalty).  The components therefore sum to the channel
-total **exactly** — asserted by the test suite, no epsilon anywhere.
+marginals computed in integer units of 2⁻¹⁰⁷⁴, the smallest subnormal:
+every finite double is a whole number of them, so ``U(x)`` (``x`` in
+those units) is exact and every marginal is a plain ``int``
+subtraction.  Each event's share is ``U(inner_after) − U(inner_before)``,
+each group's share of the channel total is
+``U(outer_after) − U(outer_before)``, and the rounding *dust* between a
+group's outer marginal and the sum of its inner marginals is assigned
+to the group's dominant component (the closing movement's, else the
+fault penalty).  The components therefore sum to the channel total
+**exactly** — asserted by the test suite, no epsilon anywhere.  The
+public results expose each share as the exact
+:class:`fractions.Fraction` ``U / 2**1074``, converted once per frame
+and component.
 
 A fetch *group* is the maximal event run charged to one block fetch:
 zero or more ``fault``/``retry`` events followed by the closing
 ``hit``/``fetch``/``prefetch`` movement, or — when every source failed
 and the block was dropped — fault/retry events with no closing
 movement.  Fault-free fetches are single-event groups, so the two-level
-fold degenerates to the flat left fold and produces no dust.
+fold degenerates to the flat left fold; their dust (the rounding of the
+outer addition, nonzero for most fetches) stays with the event's own
+component, which is charged its whole outer share.
 ``degraded`` and ``re_miss`` events sit outside every time ledger and
 are only counted; ``lookup_time_s`` is not traced and is taken from the
 ledger row.
@@ -70,7 +77,24 @@ __all__ = [
 ATTRIBUTION_SCHEMA_VERSION = 1
 
 _MOVEMENT = frozenset(MOVEMENT_KINDS)
-_ZERO = Fraction(0)
+#: Denominator of the fixed-point unit 2⁻¹⁰⁷⁴ that invariant B counts in:
+#: the smallest subnormal, so every finite double is a whole number of it.
+_UNIT = 1 << 1074
+
+
+def _units(x: float) -> int:
+    """``x`` as an exact integer count of :data:`_UNIT` (2⁻¹⁰⁷⁴).
+
+    A finite double is ``n / 2**k`` with ``k <= 1074``, so it is the
+    integer ``n << (1074 - k)`` in these units; ``d.bit_length()`` is
+    ``k + 1``.  Non-finite input raises like ``Fraction`` does.
+    """
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
+def _fractions(units: Dict[str, int]) -> Dict[str, Fraction]:
+    return {k: Fraction(v, _UNIT) for k, v in units.items()}
 
 
 def _component_of(event: TraceEvent) -> str:
@@ -299,30 +323,43 @@ def _resolve_orphans(
 
 def _fold_channel(
     groups: Iterable[List[TraceEvent]],
-) -> Tuple[float, Dict[str, Fraction]]:
+) -> Tuple[float, Dict[str, int]]:
     """Invariants A and B for one channel.
 
     Inner float fold per group (emission order), outer float fold over
     group totals — reproducing the engine's accumulation bit-for-bit —
-    plus the exact ``Fraction`` marginal partition with per-group dust
-    assigned to the closing movement's component (fault penalty for
-    orphans).
+    plus the exact marginal partition, in integer 2⁻¹⁰⁷⁴ units, with
+    per-group dust assigned to the closing movement's component (fault
+    penalty for orphans).
     """
     total = 0.0
-    comps: Dict[str, Fraction] = {}
+    total_u = 0
+    comps: Dict[str, int] = {}
     for g in groups:
+        if len(g) == 1 and g[0].kind != "retry":
+            # One event (the common, fault-free case): its marginal plus
+            # the dust is the group's whole outer share, and both go to
+            # the same component — except a lone retry's dust, which goes
+            # to the fault penalty, so it takes the general path.
+            e = g[0]
+            comp = _component_of(e)
+            total = total + e.time_s
+            after_u = _units(total)
+            comps[comp] = comps.get(comp, 0) + (after_u - total_u)
+            total_u = after_u
+            continue
         inner = 0.0
-        marginals: List[Tuple[str, Fraction]] = []
+        inner_u = 0
         for e in g:
-            before = inner
             inner = inner + e.time_s
-            marginals.append((_component_of(e), Fraction(inner) - Fraction(before)))
-        outer_before = total
+            before_u = inner_u
+            inner_u = _units(inner)
+            comp = _component_of(e)
+            comps[comp] = comps.get(comp, 0) + (inner_u - before_u)
         total = total + inner
-        group_share = Fraction(total) - Fraction(outer_before)
-        dust = group_share - Fraction(inner)
-        for comp, m in marginals:
-            comps[comp] = comps.get(comp, _ZERO) + m
+        after_u = _units(total)
+        dust = after_u - total_u - inner_u
+        total_u = after_u
         if dust:
             last = g[-1]
             comp = (
@@ -330,7 +367,7 @@ def _fold_channel(
                 if (last.kind in _MOVEMENT or last.kind == "xfer")
                 else "fault_penalty"
             )
-            comps[comp] = comps.get(comp, _ZERO) + dust
+            comps[comp] = comps.get(comp, 0) + dust
     return total, comps
 
 
@@ -338,8 +375,12 @@ def _attribute_one(
     step: int,
     events: Sequence[TraceEvent],
     ledger: Optional[Tuple[float, float, float, float]],
-) -> Tuple[FrameAttribution, Dict[str, Fraction], Dict[str, Fraction]]:
-    """Attribute one step; ledger is ``(io, lookup, prefetch, render)``."""
+) -> Tuple[FrameAttribution, Dict[str, int], Dict[str, int]]:
+    """Attribute one step; ledger is ``(io, lookup, prefetch, render)``.
+
+    Also returns the frame's demand and prefetch components in integer
+    2⁻¹⁰⁷⁴ units, for the run-level sums.
+    """
     groups, render_events, n_re_miss, n_degraded, degraded_extra = _parse_groups(events)
     resolved, all_hinted = _resolve_orphans(groups)
     exact = all_hinted and all(
@@ -368,8 +409,8 @@ def _attribute_one(
         lookup_time_s=lookup,
         prefetch_time_s=pf_total,
         render_time_s=render_total,
-        components=dict(demand),
-        prefetch_components=dict(prefetch),
+        components=_fractions(demand),
+        prefetch_components=_fractions(prefetch),
         overlap_saving_s=min(pf_total, render_total),
         n_re_miss=n_re_miss,
         n_degraded=n_degraded,
@@ -410,23 +451,24 @@ def attribute_frames(
     it is also derived from ``drop_stats["n_dropped"]``.
     """
     frames: List[FrameAttribution] = []
-    demand_tot: Dict[str, Fraction] = {}
-    prefetch_tot: Dict[str, Fraction] = {}
-    io = lookup = prefetch = render = saving = _ZERO
+    # Exact run-level sums, in integer 2⁻¹⁰⁷⁴ units.
+    demand_tot: Dict[str, int] = {}
+    prefetch_tot: Dict[str, int] = {}
+    io = lookup = prefetch = render = saving = 0
     n_re_miss = n_degraded = 0
     degraded_extra = 0.0
     for step, events, ledger in rows:
         frame, demand_f, prefetch_f = _attribute_one(step, events, ledger)
         frames.append(frame)
         for k, v in demand_f.items():
-            demand_tot[k] = demand_tot.get(k, _ZERO) + v
+            demand_tot[k] = demand_tot.get(k, 0) + v
         for k, v in prefetch_f.items():
-            prefetch_tot[k] = prefetch_tot.get(k, _ZERO) + v
-        io += Fraction(frame.io_time_s)
-        lookup += Fraction(frame.lookup_time_s)
-        prefetch += Fraction(frame.prefetch_time_s)
-        render += Fraction(frame.render_time_s)
-        saving += Fraction(frame.overlap_saving_s)
+            prefetch_tot[k] = prefetch_tot.get(k, 0) + v
+        io += _units(frame.io_time_s)
+        lookup += _units(frame.lookup_time_s)
+        prefetch += _units(frame.prefetch_time_s)
+        render += _units(frame.render_time_s)
+        saving += _units(frame.overlap_saving_s)
         n_re_miss += frame.n_re_miss
         n_degraded += frame.n_degraded
         degraded_extra += frame.degraded_extra_s
@@ -435,15 +477,16 @@ def attribute_frames(
         incomplete = True
     return AttributionReport(
         frames=frames,
-        demand_components=demand_tot,
-        prefetch_components=prefetch_tot,
+        demand_components=_fractions(demand_tot),
+        prefetch_components=_fractions(prefetch_tot),
+        # ``int / int`` is correctly rounded, as ``float(Fraction)`` is.
         totals={
-            "io_time_s": float(io),
-            "lookup_time_s": float(lookup),
-            "prefetch_time_s": float(prefetch),
-            "render_time_s": float(render),
-            "frame_time_s": float(io + lookup + render),
-            "overlap_saving_s": float(saving),
+            "io_time_s": io / _UNIT,
+            "lookup_time_s": lookup / _UNIT,
+            "prefetch_time_s": prefetch / _UNIT,
+            "render_time_s": render / _UNIT,
+            "frame_time_s": (io + lookup + render) / _UNIT,
+            "overlap_saving_s": saving / _UNIT,
         },
         n_re_miss=n_re_miss,
         n_degraded=n_degraded,

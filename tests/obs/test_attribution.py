@@ -6,7 +6,11 @@ The two invariants pinned here (see :mod:`repro.obs.attribution`):
   engine's time ledger bit-for-bit (`==` on floats, no tolerance) — on
   both engines, fault-free and under the chaos fault profile;
 - **B (exact partition)**: each frame's component values, summed as
-  ``fractions.Fraction``, equal the channel total exactly.
+  ``fractions.Fraction``, equal the channel total exactly.  The module
+  computes the partition in integer 2⁻¹⁰⁷⁴ units and exposes it as
+  ``Fraction``; the guarantee checked here — no epsilon anywhere — is
+  the same either way.  ``test_attribution_fold.py`` pins the integer
+  fold against the earlier all-``Fraction`` fold, kept as an oracle.
 """
 
 from fractions import Fraction
