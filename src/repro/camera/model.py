@@ -14,8 +14,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.utils.geometry import normalize
-
 __all__ = ["Camera", "DEFAULT_VIEW_ANGLE_DEG"]
 
 DEFAULT_VIEW_ANGLE_DEG = 45.0

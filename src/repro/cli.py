@@ -11,21 +11,25 @@ Subcommands mirror a real out-of-core visualization workflow:
   Chrome-trace JSON (and optionally JSONL) plus a per-step summary table;
   ``--from-jsonl`` re-reports on a previously written JSONL instead;
 - ``analyze``    — eviction forensics + per-frame latency attribution:
-  consumes a ``BENCH_``/``SERVE_`` snapshot or a JSONL trace (or runs the
-  quick suite in-process) and writes a self-contained HTML report, plus a
-  Prometheus text dump with ``--prom``; exits non-zero when any section
-  fails the exact ledger reconciliation;
-- ``bench``      — run the pinned regression suite and write a
-  schema-versioned ``BENCH_<label>.json``, or compare two such snapshots
+  consumes a snapshot or a JSONL trace (or runs the quick suite
+  in-process) and writes a self-contained HTML report, plus a Prometheus
+  text dump with ``--prom``; exits non-zero when any section fails the
+  exact ledger reconciliation;
+- ``bench``      — run a bundled tier spec (``--tier``, ``--quick``) and
+  write ``BENCH_<label>.json``, or compare two snapshots
   (``--compare old.json new.json``, non-zero exit on regression);
-- ``serve-sim``  — simulate N concurrent viewer sessions over one shared
-  hierarchy (tenant quotas, fairness, per-tenant tail latencies) and
-  write ``SERVE_<label>.json``, or compare two such snapshots;
+- ``serve-sim``  — run the bundled ``serve-baseline`` spec (N concurrent
+  viewer sessions over one shared hierarchy; the flags override its
+  scenario) and write ``SERVE_<label>.json``, or compare two snapshots;
 - ``matrix``     — the declarative experiment-matrix runner:
   ``matrix run`` expands a TOML/JSON spec (bundled name or path) into
   cells and writes ``MATRIX_<label>.json``; ``matrix report`` renders a
-  matrix document as a self-contained HTML report; ``matrix compare``
-  gates two matrix documents on their simulated metrics.
+  snapshot as a self-contained HTML report; ``matrix compare`` gates two
+  snapshots.
+
+``bench``, ``serve-sim`` and ``matrix run`` are front doors of one runner
+(:func:`repro.experiments.matrix.run_matrix`): every snapshot they write
+has one layout, read by one loader and gated by one comparer.
 
 Experiment regeneration lives under ``python -m repro.experiments``.
 """
@@ -105,10 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser(
         "analyze",
         help="forensics + latency-attribution report (HTML, optional Prometheus "
-             "dump) from a bench/serve snapshot or a JSONL trace",
+             "dump) from a snapshot or a JSONL trace",
     )
     ana.add_argument("source", nargs="?", default=None,
-                     help="BENCH_/SERVE_ snapshot (.json) or trace events "
+                     help="BENCH_/SERVE_/MATRIX_ snapshot (.json) or trace events "
                           "(.jsonl); omitted: run the quick pinned suite "
                           "in-process and analyze it")
     ana.add_argument("--out", type=Path, default=Path("report.html"),
@@ -120,23 +124,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser(
         "bench",
-        help="run the pinned regression suite (BENCH_<label>.json) or compare snapshots",
+        help="run a bundled tier spec (BENCH_<label>.json) or compare snapshots",
     )
     ben.add_argument("--tier", choices=("default", "fullscale", "cluster"), default="default",
-                     help="default: the pinned simulated-clock suite; fullscale: "
-                          "paper-scale geometry with wall-clock/RSS metrics "
-                          "(ratcheting raw-speed tier)")
+                     help="default: the simulated-clock suite (spec bench); fullscale: "
+                          "paper-scale geometry with wall-clock/RSS metrics (spec "
+                          "fullscale); cluster: sharded replay (spec cluster)")
     ben.add_argument("--quick", action="store_true",
-                     help="CI-smoke variant: same suite shape, a fraction of the work")
+                     help="the tier's CI-smoke spec (bench-quick, fullscale-smoke, "
+                          "cluster-smoke): same shape, a fraction of the work")
     ben.add_argument("--label", default="local",
                      help="snapshot label: writes BENCH_<label>.json")
     ben.add_argument("--out", type=Path, default=Path("."),
                      help="directory the snapshot is written into (default: cwd)")
     ben.add_argument("--workers", type=_positive_int, default=1,
-                     help="worker processes for the suite cells (default 1: serial)")
+                     help="worker processes for the spec's cells (default 1: serial)")
     ben.add_argument("--profile", type=Path, default=None, metavar="PATH",
-                     help="also re-run one pinned cell with a span timeline and "
-                          "write a Chrome-trace JSON there")
+                     help="also re-run the spec's orbit/app-aware cell with a span "
+                          "timeline and write a Chrome-trace JSON there "
+                          "(default and fullscale tiers)")
     _add_fault_args(ben)
     ben.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
                      help="compare two snapshots instead of running the suite")
@@ -149,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     srv = sub.add_parser(
         "serve-sim",
-        help="simulate N concurrent viewer sessions over a shared hierarchy "
-             "(SERVE_<label>.json) or compare snapshots",
+        help="run the serve-baseline spec: N concurrent viewer sessions over a "
+             "shared hierarchy (SERVE_<label>.json), or compare snapshots",
     )
     srv.add_argument("--sessions", type=_positive_int, default=8,
                      help="number of concurrent viewer sessions (default 8)")
@@ -413,21 +419,18 @@ def _cmd_trace(args) -> int:
 
 
 def _attribution_sections(doc):
-    """Yield ``(label, attribution_doc)`` from any analyzable document."""
-    mt = {}
-    if "runs" in doc:
-        for key, run in doc["runs"].items():
-            attr = run.get("attribution")
-            if attr:
-                yield key, attr
-        mt = doc.get("multi_tenant") or {}
-    elif "multi_tenant" in doc:
-        mt = doc["multi_tenant"]
-    elif "demand_components" in doc:
+    """Yield ``(label, attribution_doc)`` from a snapshot's cells (run
+    order) or from a bare attribution report."""
+    if "demand_components" in doc:
         yield "run", doc
-    tenants = (mt.get("attribution") or {}).get("tenants") or {}
-    for tenant, attr in sorted(tenants.items()):
-        yield f"tenant:{tenant}", attr
+        return
+    for key, cell in sorted(doc["cells"].items(), key=lambda kv: kv[1]["index"]):
+        if cell.get("attribution"):
+            yield key, cell["attribution"]
+        mt = cell.get("multi_tenant") or {}
+        tenants = (mt.get("attribution") or {}).get("tenants") or {}
+        for tenant, attr in sorted(tenants.items()):
+            yield f"{key} tenant:{tenant}", attr
 
 
 def _analysis_prom_snapshot(doc) -> dict:
@@ -442,12 +445,11 @@ def _analysis_prom_snapshot(doc) -> dict:
     def gauge(name, labels, value):
         gauges[labeled_key(name, labels)] = {"value": float(value)}
 
-    snaps = []
-    if "runs" in doc:
-        for key, run in doc["runs"].items():
-            metrics = run.get("metrics")
-            if metrics:
-                snaps.append(relabel_snapshot(metrics, {"run": key}))
+    snaps = [
+        relabel_snapshot(cell["metrics"], {"run": key})
+        for key, cell in doc.get("cells", {}).items()
+        if cell.get("metrics")
+    ]
     for label, attr in _attribution_sections(doc):
         sec = {"section": label}
         for comp, v in (attr.get("demand_components") or {}).items():
@@ -486,16 +488,13 @@ def _analysis_prom_snapshot(doc) -> dict:
 
 
 def _cmd_analyze(args) -> int:
-    import json
-
+    from repro.experiments.matrix import load_matrix, load_spec, run_matrix
     from repro.obs.report import write_report
 
     source = args.source
     if source is None:
-        from repro.obs.bench import run_bench
-
         print("no source given: running the quick pinned suite in-process")
-        doc = run_bench(label="analyze", quick=True, progress=print)
+        doc = run_matrix(load_spec("bench-quick"), progress=print)
         title = args.title or "repro analyze — quick suite"
     elif str(source).endswith(".jsonl"):
         from repro.obs.attribution import attribute_run
@@ -510,12 +509,9 @@ def _cmd_analyze(args) -> int:
         title = args.title or f"repro analyze — trace {source}"
     else:
         try:
-            doc = json.loads(Path(source).read_text())
+            doc = load_matrix(source)
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(doc, dict):
-            print(f"error: {source}: not a JSON object", file=sys.stderr)
             return 2
         title = args.title or f"repro analyze — {source}"
 
@@ -544,146 +540,175 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _compare_snapshots(old_path, new_path, threshold: float, warn_only: bool,
+                       verbose: bool) -> int:
+    """The one compare front door (``bench``/``serve-sim --compare``,
+    ``matrix compare``): 2 on an unreadable or malformed snapshot, 1 on a
+    regression unless ``warn_only``, else 0."""
+    from repro.experiments.gating import count_regressions, format_gate_rows
+    from repro.experiments.matrix import compare_matrix, load_matrix
+
+    try:
+        old, new = load_matrix(old_path), load_matrix(new_path)
+        rows = compare_matrix(old, new, threshold=threshold)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"comparing {old_path} ({old['label']}) -> {new_path} ({new['label']}), "
+          f"threshold {threshold:.0%}")
+    print(format_gate_rows(rows, verbose=verbose))
+    n_regressions = count_regressions(rows)
+    if n_regressions and warn_only:
+        print(f"warn-only: {n_regressions} regression(s) ignored")
+        return 0
+    return 1 if n_regressions else 0
+
+
+def _cell_lines(key: str, cell) -> List[str]:
+    """Human summary of one snapshot cell, one line per section it has."""
+    lines = []
+    dropped = (cell.get("trace") or {}).get("n_dropped")
+    if dropped:
+        lines.append(f"{key}: tracer dropped {dropped} events (attribution is a "
+                     f"lower bound)")
+    faults = cell.get("faults")
+    if faults:
+        fs = faults["stats"]
+        lines.append(f"faults[{key}]: {fs['errors']} errors, {fs['retries']} retries, "
+                     f"{fs['timeouts']} timeouts, {fs['dropped_blocks']} dropped blocks")
+    cl = cell.get("cluster")
+    if cl:
+        split = cl["split_bytes"]
+        lines.append(
+            f"{key}: {cl['n_nodes']} node(s), locality "
+            f"{cl['shard_map']['locality_score']:.3f}; local {split['local'] / 1e6:.2f} MB, "
+            f"peer {split['peer'] / 1e6:.2f} MB over {cl['peer_transfers']} transfers, "
+            f"cold {split['cold'] / 1e6:.2f} MB ({cl['link_fallbacks']} severed-link "
+            f"fallbacks); ledger reconciles: {cell['ledger_reconciles']}"
+        )
+    fs = cell.get("fullscale")
+    if fs:
+        lines.append(
+            f"{key}: replay {cell['wall_s']:.2f}s wall "
+            f"({cell['per_step_wall_s'] * 1e3:.2f} ms/step); table build "
+            f"{fs['table_build_wall_s']:.2f}s ({fs['n_samples']} samples, kernel "
+            f"{fs['resolved_kernel']}), importance {fs['importance_wall_s']:.2f}s, "
+            f"peak RSS {fs['peak_rss_bytes'] / 2**30:.2f} GiB"
+        )
+    mt = cell.get("multi_tenant")
+    if mt:
+        frames = mt["frame_times"]
+        lines.append(
+            f"{key}: {mt['n_sessions']} sessions, makespan {mt['makespan_s']:.3f}s sim; "
+            f"fairness (Jain, hit rate) {frames['fairness_jain']:.4f}; pooled frame "
+            f"time p99 {frames['pooled']['p99'] * 1e3:.2f} ms; cross-tenant "
+            f"evictions: {mt['cross_evictions']}"
+        )
+        for tenant in sorted(frames["per_tenant"]):
+            t = frames["per_tenant"][tenant]
+            lines.append(
+                f"  {tenant}: p50 {t['p50'] * 1e3:7.2f} ms  p95 {t['p95'] * 1e3:7.2f} ms  "
+                f"p99 {t['p99'] * 1e3:7.2f} ms  ({t['count']} frames, "
+                f"{cell['workloads'].get(tenant, '?')})"
+            )
+    return lines
+
+
+def _run_snapshot(spec, out_dir: Path, prefix: str, workers: int = 1,
+                  profile: Optional[Path] = None) -> Optional[dict]:
+    """Run a spec through ``run_matrix`` and write it as
+    ``<prefix>_<label>.json``; the shared body of every run front door.
+    Returns ``None`` (after one ``error:`` line) when the spec's cells do
+    not validate or ``profile`` names no cell to re-run."""
+    from repro.experiments.matrix import expand_cells, run_matrix, write_matrix
+
+    target = None
+    try:
+        expand_cells(spec)
+        if profile is not None:
+            from repro.obs.bench import profile_target
+
+            target = profile_target(spec)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    doc = run_matrix(spec, workers=workers, progress=print)
+    if target is not None:
+        from repro.obs.bench import profile_cell
+
+        print(f"profile: re-running {target.key} with span timeline")
+        doc["profile"] = profile_cell(spec, target, profile)
+    path = write_matrix(doc, out_dir, prefix=prefix)
+    print(f"wrote {path} ({doc['n_cells']} cells, runner {doc['runner']}, "
+          f"{doc['workers']} worker(s), schema v{doc['schema_version']}, "
+          f"suite {doc['suite_wall_s']:.2f}s wall)")
+    for key, cell in doc["cells"].items():
+        for line in _cell_lines(key, cell):
+            print(line)
+    if "profile" in doc:
+        print(f"profile: {doc['profile']['path']} (cell {doc['profile']['cell']})")
+    return doc
+
+
+#: ``(--tier, --quick)`` -> the bundled spec ``repro bench`` runs.
+_BENCH_SPECS = {
+    ("default", False): "bench",
+    ("default", True): "bench-quick",
+    ("fullscale", False): "fullscale",
+    ("fullscale", True): "fullscale-smoke",
+    ("cluster", False): "cluster",
+    ("cluster", True): "cluster-smoke",
+}
+
+
 def _cmd_bench(args) -> int:
-    from repro.obs.bench import (
-        compare_bench,
-        format_comparison,
-        load_bench,
-        run_bench,
-        write_bench,
-    )
+    import dataclasses
+
+    from repro.experiments.matrix import load_spec
 
     if args.compare is not None:
-        old_path, new_path = args.compare
-        try:
-            old, new = load_bench(old_path), load_bench(new_path)
-        except (ValueError, OSError, KeyError) as exc:
-            print(f"error: {exc}")
-            return 2
-        rows = compare_bench(old, new, threshold=args.threshold)
-        print(f"comparing {old_path} ({old['label']}) -> {new_path} ({new['label']}), "
-              f"threshold {args.threshold:.0%}")
-        print(format_comparison(rows, verbose=args.verbose))
-        n_regressions = sum(1 for r in rows if r["status"] == "regression")
-        if n_regressions and args.warn_only:
-            print(f"warn-only: {n_regressions} regression(s) ignored")
-            return 0
-        return 1 if n_regressions else 0
-
+        return _compare_snapshots(*args.compare, args.threshold, args.warn_only,
+                                  args.verbose)
     try:
         config = RunConfig.from_cli(args, command="bench")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.tier == "cluster":
-        from repro.obs.bench_cluster import run_cluster
-
-        if config.faults != "none":
-            print("error: --faults is not supported on the cluster tier "
-                  "(the scenario pins its own link-partition fault profile)",
-                  file=sys.stderr)
+    spec = load_spec(_BENCH_SPECS[(args.tier, args.quick)])
+    if config.faults != "none" or config.fault_seed != 0:
+        if "faults" not in spec.base:
+            print(f"error: --faults/--fault-seed override [base] faults, which the "
+                  f"{args.tier} tier's spec {spec.label!r} does not have (it pins "
+                  f"its own fault setup)", file=sys.stderr)
             return 2
-        doc = run_cluster(
-            label=args.label,
-            quick=args.quick,
-            progress=print,
-        )
-        path = write_bench(doc, args.out)
-        cl = doc["cluster"]
-        print(f"wrote {path} ({len(doc['runs'])} runs, tier cluster, "
-              f"{cl['n_nodes']} nodes, map {cl['shard_map']['strategy']}, "
-              f"schema v{doc['schema_version']})")
-        print(f"locality {cl['shard_map']['locality_score']:.3f}; "
-              f"local {cl['split_bytes']['local'] / 1e6:.2f} MB, "
-              f"peer {cl['split_bytes']['peer'] / 1e6:.2f} MB over "
-              f"{cl['peer_transfers']} transfers, "
-              f"cold fallback {cl['split_bytes']['cold'] / 1e6:.2f} MB "
-              f"({cl['link_fallbacks']} severed-link fallbacks)")
-        assert cl["ledger_reconciles"], "per-link ledger failed to reconcile"
-        return 0
-    if args.tier == "fullscale":
-        from repro.obs.bench_fullscale import run_fullscale
-
-        if config.faults != "none":
-            print("error: --faults is not supported on the fullscale tier "
-                  "(wall-clock numbers would measure the injector)", file=sys.stderr)
-            return 2
-        doc = run_fullscale(
-            label=args.label,
-            quick=args.quick,
-            progress=print,
-            workers=args.workers,
-            profile_path=args.profile,
-        )
-        path = write_bench(doc, args.out)
-        fs = doc["fullscale"]
-        print(f"wrote {path} ({len(doc['runs'])} runs, tier fullscale, "
-              f"kernel {fs['kernel']}, {fs['n_blocks']} blocks, "
-              f"schema v{doc['schema_version']})")
-        print(f"table build {fs['table_build_wall_s']:.2f}s wall "
-              f"({fs['n_samples']} samples, mean set {fs['mean_set_size']:.1f}); "
-              f"importance {fs['importance_wall_s']:.2f}s; "
-              f"peak RSS {fs['peak_rss_bytes'] / 2**30:.2f} GiB; "
-              f"suite {doc['suite_wall_s']:.2f}s wall")
-        for key, run in sorted(doc["runs"].items()):
-            print(f"  {key}: {run['wall_s']:.2f}s wall "
-                  f"({run['per_step_wall_s'] * 1e3:.2f} ms/step)")
-        if "profile" in doc:
-            print(f"profile: {doc['profile']['path']} (cell {doc['profile']['cell']})")
-        return 0
-    doc = run_bench(
-        label=args.label,
-        quick=args.quick,
-        progress=print,
-        workers=args.workers,
-        profile_path=args.profile,
-        faults=config.faults,
-        fault_seed=config.fault_seed,
-    )
-    path = write_bench(doc, args.out)
-    n_runs = len(doc["runs"])
-    dropped = sum(r["trace"]["n_dropped"] for r in doc["runs"].values())
-    print(f"wrote {path} ({n_runs} runs, engine {doc['engine']}, "
-          f"{doc['workers']} worker(s), schema v{doc['schema_version']}, "
-          f"{dropped} trace events dropped, suite {doc['suite_wall_s']:.2f}s wall)")
-    if args.faults != "none":
-        for key, run in sorted(doc["runs"].items()):
-            fs = run["faults"]["stats"]
-            print(f"faults[{key}]: {fs['errors']} errors, {fs['retries']} retries, "
-                  f"{fs['timeouts']} timeouts, {fs['dropped_blocks']} dropped blocks")
-    if "profile" in doc:
-        print(f"profile: {doc['profile']['path']} (cell {doc['profile']['cell']})")
+        spec = dataclasses.replace(spec, base={
+            **spec.base, "faults": config.faults, "fault_seed": config.fault_seed,
+        })
+    spec = dataclasses.replace(spec, label=args.label)
+    doc = _run_snapshot(spec, args.out, "BENCH", workers=args.workers,
+                        profile=args.profile)
+    if doc is None:
+        return 2
+    unreconciled = [key for key, cell in doc["cells"].items()
+                    if cell.get("ledger_reconciles") is False]
+    if unreconciled:
+        print(f"error: byte ledger fails to reconcile in sharded cell(s): "
+              f"{', '.join(unreconciled)}", file=sys.stderr)
+        return 1
     return 0
 
 
 def _cmd_serve_sim(args) -> int:
-    from repro.experiments.loadgen import (
-        LoadGenConfig,
-        compare_serve,
-        format_serve_comparison,
-        load_serve,
-        run_load,
-        write_serve,
-    )
+    import dataclasses
+
+    from repro.experiments.loadgen import LoadGenConfig
+    from repro.experiments.matrix import load_spec
 
     if args.compare is not None:
-        old_path, new_path = args.compare
-        try:
-            old, new = load_serve(old_path), load_serve(new_path)
-        except (ValueError, OSError, KeyError) as exc:
-            print(f"error: {exc}")
-            return 2
-        rows = compare_serve(old, new, threshold=args.threshold)
-        print(f"comparing {old_path} -> {new_path}, threshold {args.threshold:.0%}")
-        print(format_serve_comparison(rows, verbose=args.verbose))
-        n_regressions = sum(1 for r in rows if r["status"] == "regressed")
-        if n_regressions and args.warn_only:
-            print(f"warn-only: {n_regressions} regression(s) ignored")
-            return 0
-        return 1 if n_regressions else 0
-
+        return _compare_snapshots(*args.compare, args.threshold, args.warn_only,
+                                  args.verbose)
     try:
-        config = LoadGenConfig(
+        load = LoadGenConfig(
             n_sessions=args.sessions,
             mix=tuple(args.mix),
             arrival_rate_hz=args.arrival_rate,
@@ -698,63 +723,49 @@ def _cmd_serve_sim(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = run_load(config, attribution=True)
-    path = write_serve(doc, args.label, args.out)
-    mt = doc["multi_tenant"]
-    frames = mt["frame_times"]
-    print(f"wrote {path} ({mt['n_sessions']} sessions, partition {args.partition}, "
-          f"schema v{doc['schema_version']}, makespan {mt['makespan_s']:.3f}s sim)")
-    print(f"fairness (Jain, hit rate): {frames['fairness_jain']:.4f}; "
-          f"pooled frame time p99 {frames['pooled']['p99'] * 1e3:.2f} ms; "
-          f"cross-tenant evictions: {mt['cross_evictions']}")
-    for tenant in sorted(frames["per_tenant"]):
-        s = frames["per_tenant"][tenant]
-        print(f"  {tenant}: p50 {s['p50'] * 1e3:7.2f} ms  p95 {s['p95'] * 1e3:7.2f} ms  "
-              f"p99 {s['p99'] * 1e3:7.2f} ms  ({s['count']} frames, "
-              f"{doc['workloads'].get(tenant, '?')})")
-    return 0
+    spec = load_spec("serve-baseline")
+    spec = dataclasses.replace(
+        spec,
+        label=args.label,
+        base={
+            **spec.base,
+            "sessions": load.n_sessions,
+            "steps": load.steps,
+            "blocks": load.blocks,
+            "scale": load.scale,
+            "cache_ratio": load.cache_ratio,
+            "policy": load.policy,
+            "seed": load.seed,
+        },
+        setup={
+            **spec.setup,
+            "mix": list(load.mix),
+            "arrival_rate_hz": load.arrival_rate_hz,
+            "partition": load.partition,
+        },
+    )
+    return 0 if _run_snapshot(spec, args.out, "SERVE") is not None else 2
 
 
 def _cmd_matrix(args) -> int:
     import dataclasses
 
-    from repro.experiments.matrix import (
-        compare_matrix,
-        format_matrix_comparison,
-        load_matrix,
-        load_spec,
-        run_matrix,
-        write_matrix,
-    )
+    from repro.experiments.matrix import load_matrix, load_spec
 
     if args.matrix_command == "compare":
-        try:
-            old, new = load_matrix(args.old), load_matrix(args.new)
-        except (ValueError, OSError, KeyError) as exc:
-            print(f"error: {exc}")
-            return 2
-        rows = compare_matrix(old, new, threshold=args.threshold)
-        print(f"comparing {args.old} ({old['label']}) -> {args.new} "
-              f"({new['label']}), threshold {args.threshold:.0%}")
-        print(format_matrix_comparison(rows, verbose=args.verbose))
-        n_regressions = sum(1 for r in rows if r["status"] == "regression")
-        if n_regressions and args.warn_only:
-            print(f"warn-only: {n_regressions} regression(s) ignored")
-            return 0
-        return 1 if n_regressions else 0
+        return _compare_snapshots(args.old, args.new, args.threshold, args.warn_only,
+                                  args.verbose)
 
     if args.matrix_command == "report":
-        import json
-
         from repro.experiments.matrix_report import write_matrix_report
 
         try:
             doc = load_matrix(args.doc)
-        except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         path = write_matrix_report(doc, args.out, title=args.title)
-        print(f"wrote {path} ({doc['n_cells']} cells, label {doc['label']})")
+        print(f"wrote {path} ({len(doc['cells'])} cells, label {doc['label']})")
         return 0
 
     try:
@@ -764,11 +775,9 @@ def _cmd_matrix(args) -> int:
         return 2
     if args.label is not None:
         spec = dataclasses.replace(spec, label=args.label)
-    doc = run_matrix(spec, workers=args.workers, progress=print)
-    path = write_matrix(doc, args.out)
-    print(f"wrote {path} ({doc['n_cells']} cells, runner {doc['runner']}, "
-          f"{doc['workers']} worker(s), schema v{doc['schema_version']}, "
-          f"suite {doc['suite_wall_s']:.2f}s wall)")
+    doc = _run_snapshot(spec, args.out, "MATRIX", workers=args.workers)
+    if doc is None:
+        return 2
     if args.report is not None:
         from repro.experiments.matrix_report import write_matrix_report
 

@@ -1,32 +1,26 @@
 """Shared snapshot-comparison (gating) machinery.
 
-Every snapshot family in the repo — ``BENCH_*.json`` (three tiers),
-``SERVE_*.json``, and ``MATRIX_*.json`` — gates CI the same way: flatten
-the simulated-clock metrics of two snapshots to ``{name: value}``, then
-diff each metric against a per-direction threshold.  The flattening and
-threshold logic used to be hand-rolled three times (``obs/bench.py``,
-the cluster branch of its ``comparable_metrics``, and
-``experiments/loadgen.py``); this module is the single implementation
-they all call now.
+Every snapshot the repo writes — ``BENCH_*.json`` (three tiers),
+``SERVE_*.json`` and ``MATRIX_*.json`` — is one layout (a matrix
+document, see :mod:`repro.experiments.matrix`) and gates CI the same
+way: flatten the metrics of two snapshots to ``{name: value}``, then
+diff each metric against a per-direction threshold.  This module is the
+single implementation of that flattening and diff.
 
 The vocabulary:
 
 - a :class:`GateRule` says how one metric gates — its good *direction*,
   its comparison *mode* (relative change, strict-zero relative change,
-  absolute increase, absolute drop), and a threshold *scale* (wall-clock
-  metrics gate at a widened threshold);
+  absolute increase), and a threshold *scale* (wall-clock metrics gate
+  at a widened threshold);
 - a *metric set* is ``{name: (value, GateRule)}``;
 - :func:`compare_metric_sets` diffs two metric sets into rows with the
-  canonical statuses ``"regression"`` / ``"improved"`` / ``"ok"`` /
-  ``"missing"`` (metrics missing on either side never regress).
+  statuses ``"regression"`` / ``"improved"`` / ``"ok"`` / ``"missing"``
+  (metrics missing on either side never regress).
 
 The flatteners (:func:`flatten_run_summary`,
 :func:`flatten_multi_tenant`, :func:`flatten_cluster_section`) turn the
-recurring snapshot sections into metric sets; the legacy comparison
-entry points (``compare_bench``, ``compare_serve``) are thin wrappers
-that translate the canonical rows back into their historical row shapes
-so committed baselines and existing CI invocations keep gating with
-bit-identical verdicts.
+recurring cell sections into metric sets, each with one fixed rule set.
 """
 
 from __future__ import annotations
@@ -40,7 +34,7 @@ __all__ = [
     "WALL_THRESHOLD_FACTOR",
     "SUMMARY_METRIC_DIRECTIONS",
     "DERIVED_METRIC_DIRECTIONS",
-    "is_wall_metric",
+    "FULLSCALE_WALL_METRICS",
     "compare_metric_sets",
     "count_regressions",
     "format_gate_rows",
@@ -51,9 +45,11 @@ __all__ = [
 
 #: Wall-clock/RSS metrics are machine-noisy; they gate at
 #: ``threshold * WALL_THRESHOLD_FACTOR`` so same-machine CI catches
-#: multi-x slowdowns without flaking on scheduler jitter.  (Canonical
-#: home; ``repro.obs.bench`` re-exports it for compatibility.)
+#: multi-x slowdowns without flaking on scheduler jitter.
 WALL_THRESHOLD_FACTOR = 4.0
+
+#: Wall-clock/RSS fields of a fullscale cell's ``fullscale`` section.
+FULLSCALE_WALL_METRICS = ("importance_wall_s", "table_build_wall_s", "peak_rss_bytes")
 
 #: run ``summary`` metric -> good direction ("lower" = increases regress).
 SUMMARY_METRIC_DIRECTIONS = {
@@ -71,11 +67,6 @@ DERIVED_METRIC_DIRECTIONS = {
 }
 
 
-def is_wall_metric(name: str) -> bool:
-    """Wall-clock/RSS metric names gate at the widened threshold."""
-    return name.endswith("wall_s") or name.endswith("_rss_bytes")
-
-
 @dataclass(frozen=True)
 class GateRule:
     """How one metric gates.
@@ -86,12 +77,10 @@ class GateRule:
         - ``"relative"`` — change relative to ``max(|old|, abs_floor)``;
           regresses past ``threshold * scale`` in the bad direction.
         - ``"relative_strict_zero"`` — like ``"relative"``, but an old
-          value of exactly 0 tolerates no increase at all (the serve
-          gate's rule: a metric that was clean must stay clean).
+          value of exactly 0 tolerates no increase at all (a metric that
+          was clean must stay clean).
         - ``"absolute_increase"`` — any increase regresses, threshold
           ignored (cross-tenant evictions).
-        - ``"absolute_drop"`` — a drop of more than ``threshold * scale``
-          in absolute units regresses (the Jain fairness index).
     ``scale``
         Threshold multiplier; wall-clock metrics use
         :data:`WALL_THRESHOLD_FACTOR`.
@@ -104,9 +93,7 @@ class GateRule:
     def __post_init__(self) -> None:
         if self.direction not in ("lower", "higher"):
             raise ValueError(f"direction must be 'lower'/'higher', got {self.direction!r}")
-        if self.mode not in (
-            "relative", "relative_strict_zero", "absolute_increase", "absolute_drop",
-        ):
+        if self.mode not in ("relative", "relative_strict_zero", "absolute_increase"):
             raise ValueError(f"unknown gate mode {self.mode!r}")
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
@@ -126,11 +113,6 @@ def _compare_one(
         change = new_value - old_value
         bad = new_value > old_value
         good = new_value < old_value
-    elif rule.mode == "absolute_drop":
-        change = new_value - old_value
-        drop = old_value - new_value if rule.direction == "higher" else new_value - old_value
-        bad = drop > limit
-        good = drop < 0
     elif rule.mode == "relative_strict_zero" and old_value == 0.0:
         worse = new_value > 0.0 if rule.direction == "lower" else new_value < 0.0
         change = float("inf") if new_value > 0.0 else (
@@ -216,87 +198,122 @@ def format_gate_rows(rows: List[Dict[str, object]], verbose: bool = False) -> st
 
 
 # -- flatteners ---------------------------------------------------------------
+# Each flattener checks the types of what it reads and raises a one-line
+# ValueError naming the offending field, so the snapshot loader can run
+# them as its structural check (a mistyped section never reaches the
+# comparison as an AttributeError).
 
 
-def flatten_run_summary(
-    run: Mapping[str, object],
-    prefix: str,
-    wall_metrics: Tuple[str, ...] = (),
-) -> MetricSet:
-    """Flatten one run cell (``summary``/``derived``/histograms/trace drops).
+def _section(container: Mapping[str, object], key: str, where: str,
+             required: bool = False) -> Mapping[str, object]:
+    if key not in container:
+        if required:
+            raise ValueError(f"{where}.{key} is missing")
+        return {}
+    value = container[key]
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{where}.{key} must be an object, got {type(value).__name__}")
+    return value
 
-    This is the per-run section shared by every bench tier and every
-    matrix cell.  ``wall_metrics`` names top-level run keys (fullscale
-    tier: ``wall_s``, ``per_step_wall_s``) additionally gated at the
-    widened wall threshold.
+
+def _number(value: object, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _optional_number(container: Mapping[str, object], key: str,
+                     where: str) -> Optional[float]:
+    """The number at ``key``; ``None`` when absent or JSON null."""
+    value = container.get(key)
+    return None if value is None else _number(value, f"{where}.{key}")
+
+
+def flatten_run_summary(run: Mapping[str, object], prefix: str) -> MetricSet:
+    """Flatten one cell's run sections into a metric set.
+
+    ``summary``/``derived``/histogram percentiles/trace drops gate at the
+    sim threshold.  Wall-clock fields gate only where a cell records them
+    for that purpose — a top-level ``per_step_wall_s`` and the
+    :data:`FULLSCALE_WALL_METRICS` of a ``fullscale`` section — at the
+    widened :data:`WALL_THRESHOLD_FACTOR` threshold; the informational
+    ``wall_s`` every cell carries is never gated.
     """
+    if not isinstance(run, Mapping):
+        raise ValueError(f"{prefix} must be an object, got {type(run).__name__}")
     out: MetricSet = {}
-    summary = run.get("summary", {})
+    summary = _section(run, "summary", prefix)
     for name, direction in SUMMARY_METRIC_DIRECTIONS.items():
-        value = summary.get(name)
-        if isinstance(value, (int, float)):
-            out[f"{prefix}.{name}"] = (float(value), GateRule(direction))
-    derived = run.get("derived", {})
+        value = _optional_number(summary, name, f"{prefix}.summary")
+        if value is not None:
+            out[f"{prefix}.{name}"] = (value, GateRule(direction))
+    derived = _section(run, "derived", prefix)
     for name, direction in DERIVED_METRIC_DIRECTIONS.items():
-        value = derived.get(name)
-        if isinstance(value, (int, float)):
-            out[f"{prefix}.{name}"] = (float(value), GateRule(direction))
+        value = _optional_number(derived, name, f"{prefix}.derived")
+        if value is not None:
+            out[f"{prefix}.{name}"] = (value, GateRule(direction))
     for hist_name in ("fetch_latency_seconds", "frame_time_seconds"):
-        for labels, row in sorted(derived.get(hist_name, {}).items()):
+        where = f"{prefix}.derived.{hist_name}"
+        for labels, row in sorted(_section(derived, hist_name, f"{prefix}.derived").items()):
+            if not isinstance(row, Mapping):
+                raise ValueError(f"{where}.{labels} must be an object")
             for pct in ("p50", "p95", "p99"):
-                value = row.get(pct)
-                if isinstance(value, (int, float)):
-                    out[f"{prefix}.{hist_name}{{{labels}}}.{pct}"] = (
-                        float(value), GateRule("lower"),
-                    )
-    drops = run.get("trace", {}).get("n_dropped")
-    if isinstance(drops, int):
-        out[f"{prefix}.trace.n_dropped"] = (float(drops), GateRule("lower"))
-    for name in wall_metrics:
-        value = run.get(name)
-        if isinstance(value, (int, float)):
-            out[f"{prefix}.{name}"] = (
-                float(value), GateRule("lower", scale=WALL_THRESHOLD_FACTOR),
-            )
+                value = _optional_number(row, pct, f"{where}.{labels}")
+                if value is not None:
+                    out[f"{prefix}.{hist_name}{{{labels}}}.{pct}"] = (value, GateRule("lower"))
+    drops = _optional_number(_section(run, "trace", prefix), "n_dropped", f"{prefix}.trace")
+    if drops is not None:
+        out[f"{prefix}.trace.n_dropped"] = (drops, GateRule("lower"))
+    wall = GateRule("lower", scale=WALL_THRESHOLD_FACTOR)
+    per_step = _optional_number(run, "per_step_wall_s", prefix)
+    if per_step is not None:
+        out[f"{prefix}.per_step_wall_s"] = (per_step, wall)
+    fullscale = _section(run, "fullscale", prefix)
+    for name in FULLSCALE_WALL_METRICS:
+        value = _optional_number(fullscale, name, f"{prefix}.fullscale")
+        if value is not None:
+            out[f"{prefix}.fullscale.{name}"] = (value, wall)
     return out
 
 
-def flatten_multi_tenant(
-    mt: Mapping[str, object],
-    prefix: str = "multi_tenant",
-    strict_zero: bool = False,
-    relative: bool = False,
-) -> MetricSet:
-    """Flatten a ``multi_tenant`` section (bench suite or serve snapshot).
+def flatten_multi_tenant(mt: Mapping[str, object], prefix: str = "multi_tenant") -> MetricSet:
+    """Flatten a ``multi_tenant`` section (a serve cell) into a metric set.
 
-    Per-tenant and pooled frame-time percentiles, makespan, the Jain
-    fairness index (absolute-drop gate), and cross-tenant evictions
-    (absolute-increase gate).  ``strict_zero=True`` applies the serve
-    gate's zero rule: a percentile that was exactly 0 must stay 0.
-    ``relative=True`` gates fairness/cross-evictions relatively instead
-    of absolutely — the bench tier's historical semantics.
+    One rule set, at least as strict as each of the serve and bench
+    gates it replaced:
+
+    - makespan and the pooled and per-tenant p50/p95/p99 frame times
+      gate ``relative_strict_zero`` (a tail that was exactly 0 must stay
+      0);
+    - cross-tenant evictions gate ``absolute_increase`` (one more is a
+      regression);
+    - the Jain fairness index gates ``relative`` (higher is better; for
+      Jain <= 1 a relative drop is at least the absolute drop).
     """
-    mode = "relative_strict_zero" if strict_zero else "relative"
-    frames = mt["frame_times"]
+    if not isinstance(mt, Mapping):
+        raise ValueError(f"{prefix} must be an object, got {type(mt).__name__}")
+    frames = _section(mt, "frame_times", prefix, required=True)
+    where = f"{prefix}.frame_times"
+    strict = GateRule("lower", mode="relative_strict_zero")
     out: MetricSet = {
         f"{prefix}.fairness_jain": (
-            float(frames["fairness_jain"]),
-            GateRule("higher") if relative else GateRule("higher", mode="absolute_drop"),
+            _number(frames.get("fairness_jain"), f"{where}.fairness_jain"), GateRule("higher"),
         ),
         f"{prefix}.cross_evictions": (
-            float(mt["cross_evictions"]),
-            GateRule("lower") if relative else GateRule("lower", mode="absolute_increase"),
+            _number(mt.get("cross_evictions"), f"{prefix}.cross_evictions"),
+            GateRule("lower", mode="absolute_increase"),
         ),
-        f"{prefix}.makespan_s": (float(mt["makespan_s"]), GateRule("lower", mode=mode)),
+        f"{prefix}.makespan_s": (_number(mt.get("makespan_s"), f"{prefix}.makespan_s"), strict),
     }
+    pooled = _section(frames, "pooled", where, required=True)
     for pct in ("p50", "p95", "p99"):
-        out[f"{prefix}.pooled.{pct}"] = (
-            float(frames["pooled"][pct]), GateRule("lower", mode=mode),
-        )
-    for tenant, row in sorted(frames["per_tenant"].items()):
+        out[f"{prefix}.pooled.{pct}"] = (_number(pooled.get(pct), f"{where}.pooled.{pct}"), strict)
+    for tenant, row in sorted(_section(frames, "per_tenant", where, required=True).items()):
+        if not isinstance(row, Mapping):
+            raise ValueError(f"{where}.per_tenant.{tenant} must be an object")
         for pct in ("p50", "p95", "p99"):
             out[f"{prefix}.{tenant}.{pct}"] = (
-                float(row[pct]), GateRule("lower", mode=mode),
+                _number(row.get(pct), f"{where}.per_tenant.{tenant}.{pct}"), strict,
             )
     return out
 
@@ -304,27 +321,29 @@ def flatten_multi_tenant(
 def flatten_cluster_section(
     section: Mapping[str, object], prefix: str = "cluster"
 ) -> MetricSet:
-    """Flatten a cluster-tier network ledger (all simulated quantities)."""
+    """Flatten a sharded cell's network ledger (all simulated quantities)."""
+    if not isinstance(section, Mapping):
+        raise ValueError(f"{prefix} must be an object, got {type(section).__name__}")
     out: MetricSet = {}
-    for route, value in sorted(section.get("split_bytes", {}).items()):
-        if isinstance(value, (int, float)):
-            out[f"{prefix}.split_bytes.{route}"] = (float(value), GateRule("lower"))
-    locality = section.get("shard_map", {}).get("locality_score")
-    if isinstance(locality, (int, float)):
-        out[f"{prefix}.locality_score"] = (float(locality), GateRule("higher"))
-    for name, direction in (
-        ("peer_bytes", "lower"),
-        ("peer_time_s", "lower"),
-        ("peer_transfers", "lower"),
-        ("link_fallbacks", "lower"),
-        ("fallback_reads", "lower"),
-    ):
-        value = section.get(name)
-        if isinstance(value, (int, float)):
-            out[f"{prefix}.{name}"] = (float(value), GateRule(direction))
-    for link, row in sorted(section.get("links", {}).items()):
+    for route, value in sorted(_section(section, "split_bytes", prefix).items()):
+        out[f"{prefix}.split_bytes.{route}"] = (
+            _number(value, f"{prefix}.split_bytes.{route}"), GateRule("lower"),
+        )
+    locality = _optional_number(
+        _section(section, "shard_map", prefix), "locality_score", f"{prefix}.shard_map"
+    )
+    if locality is not None:
+        out[f"{prefix}.locality_score"] = (locality, GateRule("higher"))
+    for name in ("peer_bytes", "peer_time_s", "peer_transfers", "link_fallbacks",
+                 "fallback_reads"):
+        value = _optional_number(section, name, prefix)
+        if value is not None:
+            out[f"{prefix}.{name}"] = (value, GateRule("lower"))
+    for link, row in sorted(_section(section, "links", prefix).items()):
+        if not isinstance(row, Mapping):
+            raise ValueError(f"{prefix}.links.{link} must be an object")
         for field in ("bytes", "time_s"):
-            value = row.get(field)
-            if isinstance(value, (int, float)):
-                out[f"{prefix}.link.{link}.{field}"] = (float(value), GateRule("lower"))
+            value = _optional_number(row, field, f"{prefix}.links.{link}")
+            if value is not None:
+                out[f"{prefix}.link.{link}.{field}"] = (value, GateRule("lower"))
     return out

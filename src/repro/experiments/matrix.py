@@ -1,4 +1,4 @@
-"""The declarative experiment-matrix runtime (``repro matrix``).
+"""The declarative experiment-matrix runtime: the one runner.
 
 One TOML/JSON spec describes a whole study: a cartesian grid of axes over
 :class:`~repro.runtime.config.RunConfig` fields (dataset/scale × workload
@@ -6,14 +6,24 @@ One TOML/JSON spec describes a whole study: a cartesian grid of axes over
 constraints that prune cells, repeats with derived per-repeat seeds, and
 which figures/report sections to render.  ``run_matrix`` expands the spec
 into validated ``RunConfig`` cells, executes them (serially or over
-``--workers`` processes), and emits one schema-versioned
-``MATRIX_<label>.json`` snapshot; ``repro matrix report`` renders it into
-a self-contained HTML report (see :mod:`repro.experiments.matrix_report`).
+``--workers`` processes), and returns one schema-versioned snapshot
+document (``kind: "matrix"``); ``repro matrix report`` renders it into a
+self-contained HTML report (see :mod:`repro.experiments.matrix_report`).
+
+Every snapshot front door runs a bundled spec through ``run_matrix`` and
+writes the same layout through :func:`write_matrix`: ``repro matrix run``
+(``MATRIX_<label>.json``), ``repro bench [--tier ...] [--quick]``
+(``BENCH_<label>.json``: specs ``bench``/``bench-quick``,
+``fullscale``/``fullscale-smoke``, ``cluster``/``cluster-smoke``) and
+``repro serve-sim`` (``SERVE_<label>.json``: spec ``serve-baseline``).
+:func:`load_matrix` is the one loader and :func:`compare_matrix` the one
+comparer of all of them.
 
 The spec format, by section (TOML table names; the JSON form mirrors it):
 
 ``[matrix]``
-    ``label`` (required), ``runner`` (``replay``/``bench-cell``/``serve``),
+    ``label`` (required), ``runner`` (``replay``/``bench-cell``/
+    ``fullscale-cell``/``serve``),
     ``repeats``, ``seed``, ``key_prefix``, ``key_joiner``.
 ``[base]``
     ``RunConfig`` field defaults shared by every cell.
@@ -22,9 +32,9 @@ The spec format, by section (TOML table names; the JSON form mirrors it):
     in declaration order (first axis varies slowest).
 ``[setup]``
     Non-``RunConfig`` extras the cell runner understands (sampling shape
-    ``n_directions``/``n_distances``, ``tracer_capacity``, cluster
-    ``ghost_ratio``/``force_sharded``, serve ``mix``/``arrival_rate_hz``/
-    ``partition``/``attribution``).
+    ``n_directions``/``n_distances``, ``tracer_capacity``, visibility
+    ``kernel``, cluster ``ghost_ratio``/``force_sharded``, serve ``mix``/
+    ``arrival_rate_hz``/``partition``/``attribution``).
 ``[labels.<axis>]``
     ``str(value)`` → display label used in cell keys; an empty label drops
     the segment (so a fault axis only names its faulted cells).
@@ -38,14 +48,15 @@ The spec format, by section (TOML table names; the JSON form mirrors it):
     ``title``, ``bench_snapshots`` (committed ``BENCH_*``/``SERVE_*``
     files to chart as trends).
 
-Three cell runners ship built in (``register_cell_runner`` adds more):
+Four cell runners ship (``register_cell_runner`` adds more):
 
 - ``replay`` — one baseline-or-app-aware replay per cell on a fresh (or
   sharded) hierarchy, with fault injection; the general-purpose runner.
-- ``bench-cell`` — the exact instrumented cell of ``repro bench``
-  (``repro.obs.bench._run_one``), so the bench suite is a committed spec.
 - ``serve`` — one multi-tenant serving scenario per cell
   (:func:`repro.experiments.loadgen.run_load`), ``sessions``-axis aware.
+- ``bench-cell`` / ``fullscale-cell`` — the instrumented and the
+  wall-clock cells of ``repro bench`` (registered by
+  :mod:`repro.obs.bench`, imported on first use).
 
 Seeds: each cell's config seed defaults to the spec seed; repeat ``r > 0``
 replaces it with ``derive_seed(seed, r)``.  Single-box fault profiles draw
@@ -59,18 +70,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.experiments.gating import (
     compare_metric_sets,
     flatten_cluster_section,
     flatten_multi_tenant,
     flatten_run_summary,
-    format_gate_rows,
 )
 from repro.runtime.config import RUN_CONFIG_SCHEMA, RunConfig
 from repro.utils.rng import derive_seed
@@ -85,19 +96,19 @@ __all__ = [
     "expand_grid",
     "expand_cells",
     "register_cell_runner",
-    "run_matrix_cell",
     "execute_cells",
     "run_matrix",
     "write_matrix",
     "load_matrix",
     "comparable_matrix_metrics",
     "compare_matrix",
-    "format_matrix_comparison",
     "setup_for",
+    "context_for",
 ]
 
-#: Bump when the MATRIX_*.json layout changes incompatibly.
-MATRIX_SCHEMA_VERSION = 1
+#: Bump when the snapshot layout changes incompatibly.  v2: every front
+#: door writes this layout, and cells no longer carry an ``engine`` field.
+MATRIX_SCHEMA_VERSION = 2
 
 PathLike = Union[str, Path]
 
@@ -334,8 +345,8 @@ _MATRIX_KEYS = ("label", "runner", "repeats", "seed", "key_prefix", "key_joiner"
 
 #: Modules that register additional cell runners on import; loaded lazily
 #: before runner-name validation/lookup so bundled specs that use them
-#: (e.g. ``fullscale-cell``) work standalone through ``repro matrix run``.
-_RUNNER_MODULES = ("repro.obs.bench_fullscale",)
+#: (``bench-cell``, ``fullscale-cell``) work through ``repro matrix run``.
+_RUNNER_MODULES = ("repro.obs.bench",)
 
 
 def _ensure_runner_plugins() -> None:
@@ -631,18 +642,23 @@ def setup_for(config: RunConfig, extras: Mapping[str, Any]):
     return _SETUP_CACHE[key]
 
 
-def _context_for(setup, config: RunConfig, extras: Mapping[str, Any]):
-    """The (cached) replay context — visible sets are computed once per
-    unique (setup, workload) pair, like the legacy tiers' shared contexts."""
+def context_for(setup, config: RunConfig, extras: Mapping[str, Any]):
+    """The (cached) replay context of a cell — ground-truth visible sets
+    are computed once per unique (setup, workload, ``kernel``), so every
+    cell that replays the same path shares them."""
+    kernel = str(extras.get("kernel", "auto"))
     key = _setup_key(config, extras) + (
         config.workload, config.steps, config.degrees, config.distance,
-        config.trace_file,
+        config.trace_file, kernel,
     )
     if key not in _CONTEXT_CACHE:
+        from repro.core.pipeline import PipelineContext
         from repro.runtime.registries import make_workload
 
         path = make_workload(config, setup.view_angle_deg)
-        _CONTEXT_CACHE[key] = setup.context(path)
+        _CONTEXT_CACHE[key] = PipelineContext.create(
+            path, setup.grid, setup.render_model, kernel=kernel
+        )
     return _CONTEXT_CACHE[key]
 
 
@@ -678,7 +694,7 @@ def _replay_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, objec
 
     config = cell.config
     setup = setup_for(config, extras)
-    context = _context_for(setup, config, extras)
+    context = context_for(setup, config, extras)
     cache_policy = "lru" if config.policy == "app-aware" else config.policy
     sharded = config.shards > 1 or bool(extras.get("force_sharded"))
     if sharded:
@@ -721,7 +737,6 @@ def _replay_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, objec
     else:
         result = run_baseline(context, hierarchy, ctx=ctx)
     run: Dict[str, object] = {
-        "engine": "batched",
         "wall_s": time.perf_counter() - t0,  # informational; never compared
         "summary": result.summary(),
         "hierarchy_stats": result.hierarchy_stats.as_dict(),
@@ -754,39 +769,6 @@ def _replay_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, objec
     return run
 
 
-def _bench_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, object]:
-    """The exact instrumented cell of ``repro bench`` (forensics,
-    attribution, regret, phase spans — see ``repro.obs.bench._run_one``)."""
-    from repro.obs.bench import BenchConfig, _paths, _run_one
-
-    config = cell.config
-    bench_config = BenchConfig(
-        dataset=config.dataset,
-        blocks=config.blocks,
-        scale=config.scale if config.scale is not None else 0.08,
-        steps=config.steps,
-        cache_ratio=config.cache_ratio,
-        seed=config.seed,
-        n_directions=int(extras.get("n_directions", 64)),
-        n_distances=int(extras.get("n_distances", 2)),
-        degrees_per_step=config.degrees[0],
-        tracer_capacity=int(extras.get("tracer_capacity", 500_000)),
-        faults=config.faults,
-        fault_seed=config.fault_seed,
-    )
-    setup = setup_for(
-        config,
-        {
-            **extras,
-            "n_directions": bench_config.n_directions,
-            "n_distances": bench_config.n_distances,
-        },
-    )
-    path_name = "orbit" if config.workload == "spherical" else "zoom"
-    path = _paths(bench_config, setup.view_angle_deg)[path_name]
-    return _run_one(setup, path, config.policy, bench_config, cell_index=cell.index)
-
-
 def _serve_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, object]:
     """One multi-tenant serving scenario per cell (``sessions`` axis)."""
     from repro.experiments.loadgen import LoadGenConfig, run_load
@@ -814,7 +796,6 @@ def _serve_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, object
         tracer_capacity=int(extras.get("tracer_capacity", 500_000)),
     )
     return {
-        "engine": "batched",
         "wall_s": time.perf_counter() - t0,  # informational; never compared
         "serve_config": doc["config"],
         "workloads": doc["workloads"],
@@ -823,13 +804,7 @@ def _serve_cell(cell: MatrixCell, extras: Mapping[str, Any]) -> Dict[str, object
 
 
 register_cell_runner("replay", _replay_cell)
-register_cell_runner("bench-cell", _bench_cell)
 register_cell_runner("serve", _serve_cell)
-
-
-def run_matrix_cell(cell: MatrixCell, spec: MatrixSpec) -> Dict[str, object]:
-    """Run one cell with the spec's runner and ``[setup]`` extras."""
-    return CELL_RUNNERS[spec.runner](cell, spec.setup)
 
 
 # ---------------------------------------------------------------------------
@@ -927,35 +902,115 @@ def run_matrix(
 # snapshot I/O and comparison
 
 
-def write_matrix(doc: Dict[str, object], out_dir: PathLike = ".") -> Path:
-    """Write ``MATRIX_<label>.json`` under ``out_dir``; returns the path."""
+def write_matrix(doc: Mapping[str, object], out_dir: PathLike = ".",
+                 prefix: str = "MATRIX") -> Path:
+    """Write ``<prefix>_<label>.json`` under ``out_dir``; returns the path.
+
+    The one snapshot writer.  The document is serialized to a string
+    first, then written to a temporary file in the target directory and
+    moved into place with :func:`os.replace`, so a document that fails to
+    serialize (or a crash mid-write) never leaves a partial file and never
+    touches an existing snapshot of the same name.
+    """
     label = str(doc["label"]).replace("/", "-")
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"MATRIX_{label}.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path = out_dir / f"{prefix}_{label}.json"
+    # Same directory, so os.replace is an atomic rename; a plain file
+    # (not mkstemp's mode 0600) keeps the umask permissions of a snapshot.
+    tmp = out_dir / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
-def load_matrix(path: PathLike) -> Dict[str, object]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("kind") != "matrix":
-        raise ValueError(f"{path}: not a matrix snapshot (kind={doc.get('kind')!r})")
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"non-finite number {name}")
+
+
+def _regenerate_command(doc: Mapping[str, object]) -> str:
+    """The command that writes the schema-v2 successor of a v1 snapshot."""
+    if "runs" in doc:
+        tier = doc.get("tier")
+        return ("repro bench" + (f" --tier {tier}" if tier else "")
+                + (" --quick" if doc.get("quick") else ""))
+    if "multi_tenant" in doc:
+        return "repro serve-sim"
+    return f"repro matrix run {doc.get('label', '<spec>')}"
+
+
+def _check_matrix(doc: object, where: str = "<snapshot>") -> None:
+    """Raise a one-line ``ValueError`` unless ``doc`` is a schema-v2
+    snapshot whose sections have the types the comparer and the HTML
+    report read."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{where}: not a JSON object")
     version = doc.get("schema_version")
+    if version == 1:
+        raise ValueError(
+            f"{where}: schema v1 snapshot; regenerate it with "
+            f"`{_regenerate_command(doc)}`"
+        )
+    if doc.get("kind") != "matrix":
+        raise ValueError(f"{where}: not a matrix snapshot (kind={doc.get('kind')!r})")
     if version != MATRIX_SCHEMA_VERSION:
         raise ValueError(
-            f"{path}: schema_version {version!r} != supported {MATRIX_SCHEMA_VERSION}"
+            f"{where}: schema_version {version!r} != supported {MATRIX_SCHEMA_VERSION}"
         )
+    if not isinstance(doc.get("label"), str):
+        raise ValueError(f"{where}: label must be a string")
+    spec = doc.get("spec")
+    if not isinstance(spec, Mapping) or not isinstance(spec.get("axes"), Mapping):
+        raise ValueError(f"{where}: spec.axes must be an object")
+    cells = doc.get("cells")
+    if not isinstance(cells, Mapping) or not cells:
+        raise ValueError(f"{where}: cells must be a non-empty object of cells")
+    for key, cell in cells.items():
+        if not isinstance(cell, Mapping):
+            raise ValueError(f"{where}: cell {key!r} must be an object")
+        index = cell.get("index")
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise ValueError(f"{where}: cell {key!r} index must be an int")
+        for section in ("axes", "faults"):
+            if not isinstance(cell.get(section, {}), Mapping):
+                raise ValueError(f"{where}: cell {key!r} {section} must be an object")
+        if not isinstance(cell.get("faults", {}).get("trace", {}), Mapping):
+            raise ValueError(f"{where}: cell {key!r} faults.trace must be an object")
+    try:
+        comparable_matrix_metrics(doc)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def load_matrix(path: PathLike) -> Dict[str, object]:
+    """Read and check a ``BENCH_``/``SERVE_``/``MATRIX_`` snapshot.
+
+    The one loader.  Truncated JSON, a non-finite number, a wrong
+    ``kind``, an unsupported schema (v1 names the command that rewrites
+    it) or a mistyped section all raise ``ValueError`` with one line that
+    names the file; an unreadable file raises ``OSError``.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"),
+                         parse_constant=_reject_constant)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a valid snapshot: {exc}") from None
+    _check_matrix(doc, str(path))
     return doc
 
 
-def comparable_matrix_metrics(doc: Dict[str, object]):
-    """Flatten a matrix snapshot into a gating metric set.
+def comparable_matrix_metrics(doc: Mapping[str, object]):
+    """Flatten a snapshot into a gating metric set.
 
     Per cell: the shared run-summary metrics (summary, derived ratios,
-    histogram percentiles, trace drops), the multi-tenant section of serve
-    cells, and the cluster ledger of sharded cells.  Wall-clock fields are
-    never included — matrix comparisons are machine-independent.
+    histogram percentiles, trace drops, and the wall-clock fields a
+    fullscale cell records for gating), the multi-tenant section of serve
+    cells, and the cluster ledger of sharded cells.
     """
     out = {}
     for key, cell in sorted(doc["cells"].items()):
@@ -970,12 +1025,12 @@ def comparable_matrix_metrics(doc: Dict[str, object]):
 
 
 def compare_matrix(
-    old: Dict[str, object],
-    new: Dict[str, object],
+    old: Mapping[str, object],
+    new: Mapping[str, object],
     threshold: float = 0.10,
     abs_floor: float = 1e-12,
 ) -> List[Dict[str, object]]:
-    """Diff two matrix snapshots (canonical gating rows; see
+    """Diff two snapshots (gating rows; see
     :func:`repro.experiments.gating.compare_metric_sets`)."""
     return compare_metric_sets(
         comparable_matrix_metrics(old),
@@ -983,7 +1038,3 @@ def compare_matrix(
         threshold=threshold,
         abs_floor=abs_floor,
     )
-
-
-def format_matrix_comparison(rows: List[Dict[str, object]], verbose: bool = False) -> str:
-    return format_gate_rows(rows, verbose=verbose)

@@ -1,7 +1,8 @@
 """Self-contained HTML reports for experiment-matrix runs.
 
-``repro matrix report`` feeds this module a ``MATRIX_<label>.json``
-document (see :mod:`repro.experiments.matrix`) and gets back one HTML
+``repro matrix report`` feeds this module a snapshot (any
+``MATRIX_``/``BENCH_``/``SERVE_`` file; see
+:mod:`repro.experiments.matrix`) and gets back one HTML
 file with no external assets — inline CSS and inline SVG only, no
 JavaScript, no network-loaded fonts or scripts — so the artifact can be
 archived from CI and opened anywhere:
@@ -24,7 +25,6 @@ metric columns sort by name, and nothing samples a clock.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -289,34 +289,32 @@ def _fairness_section(doc: Mapping[str, Any]) -> str:
 
 
 def _snapshot_trend(name: str, doc: Mapping[str, Any]) -> str:
+    cells = _ordered_cells(doc)
+    metric_names = sorted(
+        {
+            m
+            for _, cell in cells
+            for m in SUMMARY_METRIC_DIRECTIONS
+            if isinstance((cell.get("summary") or {}).get(m), (int, float))
+        }
+    )
     parts = [f"<h3>{_esc(name)}</h3>"]
-    runs = doc.get("runs")
-    if isinstance(runs, Mapping):
-        metric_names = sorted(
-            {
-                m
-                for run in runs.values()
-                for m in SUMMARY_METRIC_DIRECTIONS
-                if isinstance((run.get("summary") or {}).get(m), (int, float))
-            }
-        )
-        head = "<th>run</th>" + "".join(f"<th>{_esc(m)}</th>" for m in metric_names)
+    if metric_names:
+        head = "<th>cell</th>" + "".join(f"<th>{_esc(m)}</th>" for m in metric_names)
         body = "".join(
             "<tr>"
             f"<td>{_esc(key)}</td>"
             + "".join(
-                f"<td class='num'>{_fmt((run.get('summary') or {}).get(m, 0.0))}</td>"
+                f"<td class='num'>{_fmt((cell.get('summary') or {}).get(m, 0.0))}</td>"
                 for m in metric_names
             )
             + "</tr>"
-            for key, run in runs.items()
+            for key, cell in cells
         )
-        parts.append(
-            f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
-        )
-    mt = doc.get("multi_tenant")
-    if isinstance(mt, Mapping) and mt:
-        parts.append(_tenant_rows(mt))
+        parts.append(f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>")
+    for _, cell in cells:
+        if isinstance(cell.get("multi_tenant"), Mapping):
+            parts.append(_tenant_rows(cell["multi_tenant"]))
     if len(parts) == 1:
         parts.append("<p class='note'>no comparable sections in this snapshot</p>")
     return "".join(parts)
@@ -326,6 +324,8 @@ def _trend_section(doc: Mapping[str, Any], base_dir: Path) -> str:
     names = (doc["spec"].get("report") or {}).get("bench_snapshots") or []
     if not names:
         return ""
+    from repro.experiments.matrix import load_matrix
+
     parts = ["<h2>Committed snapshot trends</h2>"]
     for name in names:
         path = Path(name)
@@ -334,7 +334,11 @@ def _trend_section(doc: Mapping[str, Any], base_dir: Path) -> str:
         if not path.exists():
             parts.append(f"<p class='note'>snapshot {_esc(name)} not found — skipped</p>")
             continue
-        snapshot = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            snapshot = load_matrix(path)
+        except (ValueError, OSError) as exc:
+            parts.append(f"<p class='note'>snapshot {_esc(name)} skipped: {_esc(exc)}</p>")
+            continue
         parts.append(_snapshot_trend(name, snapshot))
     return "".join(parts)
 

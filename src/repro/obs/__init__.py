@@ -9,10 +9,13 @@ component defaults to a shared no-op so unmetered runs stay byte-identical):
 - :mod:`repro.obs.profiler` — nested wall-clock spans next to the
   simulated clock (:class:`PhaseProfiler` / :data:`NULL_PROFILER`), and
   span ids stamped onto trace events;
-- :mod:`repro.obs.bench` — the pinned ``repro bench`` suite emitting
-  schema-versioned ``BENCH_<label>.json`` snapshots and the threshold
-  comparison behind ``repro bench --compare``.  (Imported lazily — see
-  the module — to keep this package import-light for the storage layer.)
+- :mod:`repro.obs.bench` — the instrumented (``bench-cell``) and
+  wall-clock (``fullscale-cell``) matrix cell runners behind
+  ``repro bench``, which runs bundled specs through
+  :func:`repro.experiments.matrix.run_matrix`; snapshots, their loader
+  and their comparison live in :mod:`repro.experiments.matrix`.
+  (Imported lazily, to keep this package import-light for the storage
+  layer.)
 
 :mod:`repro.obs.fairness` adds the multi-tenant summaries (Jain fairness
 index, per-tenant frame-time tails) the session scheduler reports.

@@ -1,128 +1,65 @@
-"""The ``repro bench`` regression harness.
+"""The instrumented cell runners behind ``repro bench``.
 
-Runs a pinned suite — two camera paths (an orbit and a zoom) × two
-policies (the LRU baseline and the paper's app-aware optimizer) on one
-synthetic dataset — with the metrics registry, event tracer, and phase
-profiler all attached, and emits a schema-versioned ``BENCH_<label>.json``
-snapshot.  Everything the comparison looks at is *simulated*-clock
-derived, so two snapshots of the same code are bit-identical regardless
-of the machine; wall-clock phase timings (and the per-run ``wall_s`` /
-suite ``suite_wall_s`` fields) ride along for human inspection but are
-never compared.
+``repro bench [--tier default|fullscale|cluster] [--quick]`` runs a
+bundled matrix spec (``bench``/``bench-quick``, ``fullscale``/
+``fullscale-smoke``, ``cluster``/``cluster-smoke``) through
+:func:`repro.experiments.matrix.run_matrix` and writes the one snapshot
+layout as ``BENCH_<label>.json``.  The cluster tier uses the general
+``replay`` runner; the other two tiers use the runners registered here
+(:mod:`repro.experiments.matrix` imports this module on first use):
 
-Cells run on the batched replay engine with exact per-block trace
-emission; eviction forensics
-(:class:`~repro.storage.forensics.EvictionLineage`) and the per-frame
-latency attribution of :mod:`repro.obs.attribution` ride along in each
-run's informational ``attribution`` section.  ``workers > 1``
-fans the four independent cells out over worker processes, each building
-its own tables from the pinned config, so snapshots are byte-identical
-regardless of parallelism.
+- ``bench-cell`` — one (path, policy) cell with the metrics registry,
+  per-event tracer, phase profiler, eviction forensics
+  (:class:`~repro.storage.forensics.EvictionLineage`), per-frame latency
+  attribution (:mod:`repro.obs.attribution`) and regret against Belady
+  all attached.  Everything the comparison reads is simulated-clock
+  derived, so two snapshots of the same code are bit-identical on any
+  machine; the ``wall_s`` and ``phases.wall`` fields ride along for
+  humans and are never compared.  A fault profile in the cell's config
+  installs a seeded :class:`~repro.faults.FaultInjector` whose seed is
+  derived from ``(fault_seed, cell index)``, so the cells of a suite
+  see distinct, reproducible fault draws.
+- ``fullscale-cell`` — the production replay path at paper-scale
+  geometry, with aggregated trace roll-ups and no forensics: the cell
+  records its replay wall time per step plus a ``fullscale`` section of
+  table-build wall times (built once per process and visibility
+  ``kernel``) and peak RSS.  Those wall-clock fields gate at the widened
+  :data:`~repro.experiments.gating.WALL_THRESHOLD_FACTOR` threshold.
 
-``compare_bench`` diffs two snapshots against per-direction relative
-thresholds and reports regressions (``repro bench --compare`` exits
-non-zero when any metric regresses past threshold).
+``repro bench --profile`` re-runs :data:`PROFILE_CELL` of the tier's
+spec with a span timeline kept (:func:`profile_cell`).
 """
 
 from __future__ import annotations
 
-import json
+import resource
 import time
-from dataclasses import asdict, dataclass, replace
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional
 
-from repro.camera.path import spherical_path, zoom_path
-from repro.runtime.drivers import run_baseline
-from repro.experiments.gating import (
-    WALL_THRESHOLD_FACTOR,
-    GateRule,
-    MetricSet,
-    compare_metric_sets,
-    flatten_cluster_section,
-    flatten_multi_tenant,
-    flatten_run_summary,
-)
+from repro.camera.frustum import resolve_kernel
 from repro.experiments.matrix import (
+    CELL_RUNNERS,
+    MatrixCell,
     MatrixSpec,
-    execute_cells,
+    context_for,
     expand_cells,
-    run_matrix_cell,
+    register_cell_runner,
     setup_for,
 )
-from repro.experiments.runner import ExperimentSetup
-from repro.faults import FAULT_PROFILES, FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.obs.attribution import attribute_run
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.profiler import PhaseProfiler
+from repro.runtime.drivers import run_baseline
 from repro.storage.forensics import EvictionLineage, optimal_miss_count
+from repro.tables.builder import build_importance_table, build_visible_table
 from repro.trace import Tracer, aggregate
 from repro.utils.rng import derive_seed
 
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "WALL_THRESHOLD_FACTOR",
-    "BENCH_CELLS",
-    "PROFILE_CELL",
-    "BenchConfig",
-    "bench_matrix_spec",
-    "derive_fault_seed",
-    "run_bench",
-    "write_bench",
-    "load_bench",
-    "comparable_metrics",
-    "compare_bench",
-    "format_comparison",
-]
+__all__ = ["PROFILE_CELL", "profile_target", "profile_cell"]
 
-#: Bump when the BENCH_*.json layout changes incompatibly.
-BENCH_SCHEMA_VERSION = 1
-
-PathLike = Union[str, Path]
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    """Pinned parameters of the bench suite (recorded into the snapshot)."""
-
-    dataset: str = "3d_ball"
-    blocks: int = 256
-    scale: float = 0.08
-    steps: int = 40
-    cache_ratio: float = 0.5
-    seed: int = 0
-    n_directions: int = 64
-    n_distances: int = 2
-    degrees_per_step: float = 5.0
-    tracer_capacity: int = 500_000
-    #: Named fault profile (see :data:`repro.faults.FAULT_PROFILES`);
-    #: ``"none"`` keeps the fault-free fast path and a byte-identical
-    #: snapshot layout (no ``faults`` section in the runs).
-    faults: str = "none"
-    fault_seed: int = 0
-
-    @classmethod
-    def quick(cls) -> "BenchConfig":
-        """The CI-smoke variant: same shape, a fraction of the work."""
-        return cls(blocks=64, scale=0.04, steps=8, n_directions=16, n_distances=1)
-
-
-def _paths(config: BenchConfig, view_angle_deg: float):
-    return {
-        "orbit": spherical_path(
-            config.steps,
-            degrees_per_step=config.degrees_per_step,
-            distance=2.5,
-            view_angle_deg=view_angle_deg,
-            seed=config.seed,
-        ),
-        "zoom": zoom_path(
-            config.steps,
-            degrees_per_step=config.degrees_per_step,
-            view_angle_deg=view_angle_deg,
-            seed=config.seed,
-        ),
-    }
+#: The cell ``repro bench --profile`` re-runs with a span timeline kept.
+PROFILE_CELL = "orbit/app-aware"
 
 
 def _ratio(numer: Optional[object], denom: Optional[object]) -> Optional[float]:
@@ -141,48 +78,28 @@ def _histogram_percentiles(registry: MetricsRegistry, name: str) -> Dict[str, Di
     return out
 
 
-#: The pinned (path, policy) cells of the suite, in run order.
-BENCH_CELLS: Tuple[Tuple[str, str], ...] = (
-    ("orbit", "lru"),
-    ("orbit", "app-aware"),
-    ("zoom", "lru"),
-    ("zoom", "app-aware"),
-)
-
-#: The cell ``repro bench --profile`` re-runs with a span timeline kept.
-PROFILE_CELL = "orbit/app-aware"
+def _replay(setup, context, policy: str, hierarchy, **obs):
+    """One replay inside a ``replay`` span: the paper's optimizer for
+    ``policy="app-aware"``, the conventional baseline otherwise."""
+    with obs["profiler"].span("replay"):
+        if policy == "app-aware":
+            return setup.optimizer().run(context, hierarchy, **obs)
+        return run_baseline(context, hierarchy, **obs)
 
 
-def derive_fault_seed(base: int, index: int) -> int:
-    """Deterministic per-cell fault seed: hash of ``(base, cell index)``.
-
-    Every suite cell must see a *distinct* fault draw (seeding each cell's
-    injector with the raw base seed would fire the identical fault
-    schedule into four different workloads), yet the derivation has to be
-    a pure function of the pinned config so serial and ``--workers N``
-    runs produce byte-identical snapshots.  Delegates to the shared
-    :func:`repro.utils.rng.derive_seed` (SeedSequence spawn-stable
-    hashing), which the matrix runtime uses for the same purpose.
-    """
-    return derive_seed(int(base), int(index))
-
-
-def _run_one(
-    setup: ExperimentSetup,
-    path,
-    policy: str,
-    config: BenchConfig,
-    profiler: Optional[PhaseProfiler] = None,
-    cell_index: int = 0,
+def _bench_cell(
+    cell: MatrixCell, extras: Mapping[str, object], profiler: Optional[PhaseProfiler] = None
 ) -> Dict[str, object]:
-    """One (path, policy) cell: run instrumented, snapshot everything."""
+    """One instrumented (path, policy) cell: run it, snapshot everything."""
     t0 = time.perf_counter()
+    config = cell.config
+    setup = setup_for(config, extras)
+    context = context_for(setup, config, extras)
     registry = MetricsRegistry()
-    tracer = Tracer(capacity=config.tracer_capacity)
+    tracer = Tracer(capacity=int(extras.get("tracer_capacity", 500_000)))
     if profiler is None:
         profiler = PhaseProfiler(tracer=tracer)
-    context = setup.context(path)
-    hierarchy = setup.hierarchy("lru" if policy == "app-aware" else policy)
+    hierarchy = setup.hierarchy("lru" if config.policy == "app-aware" else config.policy)
     # Per-block trace emission: the attribution section replays the
     # engine's exact per-fetch time folds from the event stream, which an
     # aggregated (count > 1) roll-up cannot support.
@@ -190,39 +107,29 @@ def _run_one(
     lineage = EvictionLineage()
     hierarchy.set_forensics(lineage)
     injector = None
-    derived_seed = derive_fault_seed(config.fault_seed, cell_index)
+    derived_seed = derive_seed(config.fault_seed, cell.index)
     if config.faults != "none":
         injector = FaultInjector(FaultPlan.from_profile(config.faults, seed=derived_seed))
         hierarchy.set_fault_injector(injector)
-    with profiler.span("replay"):
-        if policy == "app-aware":
-            result = setup.optimizer().run(
-                context, hierarchy, tracer=tracer, registry=registry,
-                profiler=profiler,
-            )
-        else:
-            result = run_baseline(
-                context, hierarchy, tracer=tracer, registry=registry,
-                profiler=profiler,
-            )
+    result = _replay(
+        setup, context, config.policy, hierarchy,
+        tracer=tracer, registry=registry, profiler=profiler,
+    )
 
     summary = aggregate(tracer.events())
-    precision = _ratio(
-        registry.get("prefetch_useful_total"), registry.get("prefetch_evaluated_total")
-    )
-    recall = _ratio(
-        registry.get("prefetch_useful_total"), registry.get("prefetch_demand_window_total")
-    )
     run: Dict[str, object] = {
-        # Every tier replays on the batched engine; the field stays so the
-        # snapshot schema and committed baselines are unchanged.
-        "engine": "batched",
         "wall_s": time.perf_counter() - t0,  # informational; never compared
         "summary": result.summary(),
         "hierarchy_stats": result.hierarchy_stats.as_dict(),
         "derived": {
-            "prefetch_precision": precision,
-            "prefetch_recall": recall,
+            "prefetch_precision": _ratio(
+                registry.get("prefetch_useful_total"),
+                registry.get("prefetch_evaluated_total"),
+            ),
+            "prefetch_recall": _ratio(
+                registry.get("prefetch_useful_total"),
+                registry.get("prefetch_demand_window_total"),
+            ),
             "fetch_latency_seconds": _histogram_percentiles(
                 registry, "fetch_latency_seconds"
             ),
@@ -240,10 +147,10 @@ def _run_one(
         "phases": profiler.report(),
     }
     # Forensics + per-frame latency attribution (informational: the
-    # comparison allowlist never reads this section).  The regret is the
-    # demand stream's actual fast-level misses vs the Belady offline bound
-    # over the same keys and capacity; a warm importance preload can make
-    # it negative (see repro.storage.forensics), so it is reported raw.
+    # comparison never reads this section).  The regret is the demand
+    # stream's actual fast-level misses vs the Belady offline bound over
+    # the same keys and capacity; a warm importance preload can make it
+    # negative (see repro.storage.forensics), so it is reported raw.
     attribution = attribute_run(
         tracer.events(), result.steps, drop_stats=tracer.drop_stats()
     )
@@ -255,7 +162,7 @@ def _run_one(
     doc = attribution.as_dict(include_frames=True)
     doc["forensics"] = lineage.as_dict()
     doc["regret"] = {
-        "policy": policy,
+        "policy": config.policy,
         "fast_capacity": capacity,
         "actual_fast_misses": int(actual_misses),
         "belady_misses": int(belady_misses),
@@ -263,8 +170,6 @@ def _run_one(
     }
     run["attribution"] = doc
     if injector is not None:
-        # Gated on the injector so fault-free snapshots stay byte-identical
-        # to pre-faults baselines.
         run["faults"] = {
             "profile": config.faults,
             "seed": config.fault_seed,
@@ -280,311 +185,102 @@ def _run_one(
     return run
 
 
-def bench_matrix_spec(config: BenchConfig) -> MatrixSpec:
-    """The bench suite as a matrix spec.
-
-    Expanding this spec reproduces :data:`BENCH_CELLS` exactly — same
-    keys, same run order, same per-cell fault-seed derivation — so the
-    committed ``specs/bench*.toml`` files and ``repro bench`` are two
-    spellings of one suite (a test pins them equal).
-    """
-    return MatrixSpec(
-        label="bench",
-        runner="bench-cell",
-        base={
-            "dataset": config.dataset,
-            "blocks": config.blocks,
-            "scale": config.scale,
-            "steps": config.steps,
-            "cache_ratio": config.cache_ratio,
-            "seed": config.seed,
-            "degrees": (config.degrees_per_step, config.degrees_per_step),
-            "faults": config.faults,
-            "fault_seed": config.fault_seed,
-        },
-        axes={
-            "workload": ("spherical", "zoom"),
-            "policy": ("lru", "app-aware"),
-        },
-        labels={"workload": {"spherical": "orbit"}},
-        setup={
-            "n_directions": config.n_directions,
-            "n_distances": config.n_distances,
-            "tracer_capacity": config.tracer_capacity,
-        },
-        figures=(
-            {
-                "x": "policy",
-                "metric": "total_miss_rate",
-                "group_by": "workload",
-                "title": "miss rate: LRU baseline vs app-aware",
-            },
-        ),
-    )
+def _peak_rss_bytes() -> int:
+    # ru_maxrss is KiB on Linux (bytes on macOS, where this tier is not
+    # gated); monotone over the process lifetime.
+    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024
 
 
-def run_bench(
-    config: Optional[BenchConfig] = None,
-    label: str = "local",
-    quick: bool = False,
-    progress=None,
-    workers: int = 1,
-    profile_path: Optional[PathLike] = None,
-    faults: Optional[str] = None,
-    fault_seed: Optional[int] = None,
-) -> Dict[str, object]:
-    """Run the pinned suite; returns the JSON-ready snapshot document.
+#: (setup, kernel) -> the timed table build of that setup in this process.
+_TABLE_BUILDS: Dict[tuple, Dict[str, object]] = {}
 
-    ``progress`` is an optional ``str -> None`` callback (the CLI passes
-    ``print``) invoked before each phase.  ``workers > 1`` runs the four
-    cells in that many worker processes (capped at the cell count); every
-    simulated metric is identical to a serial run.  ``profile_path``,
-    when given, re-runs the :data:`PROFILE_CELL` with a span timeline kept
-    and writes a Chrome-trace JSON there.
 
-    ``faults``/``fault_seed`` (when not None) override the config's fault
-    profile: each cell then runs with a seeded
-    :class:`~repro.faults.FaultInjector` installed on its hierarchy, and
-    every run grows a ``faults`` section (injector stats + trace fault
-    totals).  The default (``"none"``) keeps fault-free snapshots
-    byte-identical to pre-faults baselines.
-    """
-    if config is None:
-        config = BenchConfig.quick() if quick else BenchConfig()
-    if faults is not None or fault_seed is not None:
-        config = replace(
-            config,
-            faults=faults if faults is not None else config.faults,
-            fault_seed=fault_seed if fault_seed is not None else config.fault_seed,
+def _build_tables(setup, kernel: str) -> Dict[str, object]:
+    """Build ``T_important`` and ``T_visible`` once per setup and kernel,
+    timing each; returns the build record every cell on the setup reports.
+    (Setups are cached for the life of the process, so ``id`` is a stable
+    key.)"""
+    key = (id(setup), kernel)
+    if key not in _TABLE_BUILDS:
+        t0 = time.perf_counter()
+        setup._itable = build_importance_table(setup.volume, setup.grid)
+        importance_wall_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        setup._vtable = build_visible_table(
+            setup.grid, setup.sampling, setup.view_angle_deg,
+            cache_ratio=setup.cache_ratio,
+            importance=setup.importance_table,
+            seed=setup.seed,
+            kernel=kernel,
         )
-    if config.faults not in FAULT_PROFILES:
-        raise ValueError(
-            f"unknown fault profile {config.faults!r}; expected one of {FAULT_PROFILES}"
-        )
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    notify = progress if progress is not None else (lambda msg: None)
-    t0 = time.perf_counter()
-
-    # The suite is a committed matrix spec; expanding it reproduces the
-    # pinned BENCH_CELLS keys, order, and per-cell seed derivation.
-    spec = bench_matrix_spec(config)
-    cells = expand_cells(spec)
-
-    suite_profiler = PhaseProfiler()
-    with suite_profiler.span("bench"):
-        notify(f"setup: {config.dataset}, ~{config.blocks} blocks, {config.steps} steps")
-        with suite_profiler.span("setup"):
-            setup = setup_for(cells[0].config, spec.setup)
-
-        runs: Dict[str, Dict[str, object]] = {}
-        n_workers = min(workers, len(cells))
-        if n_workers > 1:
-            notify(f"runs: {len(cells)} cells on {n_workers} workers")
-            with suite_profiler.span("runs"):
-                runs = execute_cells(
-                    cells, spec.runner, spec.setup, workers=n_workers, progress=notify
-                )
-        else:
-            notify("building T_visible / T_important tables")
-            with suite_profiler.span("table_build"):
-                setup.importance_table  # noqa: B018 - builds and caches
-                setup.visible_table  # noqa: B018 - builds and caches
-            for cell in cells:
-                notify(f"run: {cell.key}")
-                with suite_profiler.span(f"run {cell.key.replace('/', ':')}"):
-                    runs[cell.key] = run_matrix_cell(cell, spec)
-
-        # The multi-tenant serving scenario: a pinned 8-session
-        # orbit/zoom/flythrough mix over one shared hierarchy with equal
-        # tenant quotas, capped so the DRAM level can hold at least one
-        # block per tenant on the tiniest configs.  Every number in it is
-        # simulated-clock derived, so per-tenant tail latencies and the
-        # fairness gauge gate the same way the single-stream cells do.
-        from repro.experiments.loadgen import LoadGenConfig, run_load
-
-        dram_capacity = max(
-            1, int(round(setup.grid.n_blocks * config.cache_ratio**2))
-        )
-        n_sessions = min(4 if quick else 8, dram_capacity)
-        notify(f"multi-tenant: {n_sessions}-session mixed serve scenario")
-        with suite_profiler.span("multi_tenant"):
-            serve_doc = run_load(
-                LoadGenConfig(
-                    n_sessions=n_sessions,
-                    steps=6 if quick else 12,
-                    blocks=config.blocks,
-                    scale=config.scale,
-                    cache_ratio=config.cache_ratio,
-                    seed=config.seed,
-                ),
-                attribution=True,
-            )
-        multi_tenant = {
-            "config": serve_doc["config"],
-            "workloads": serve_doc["workloads"],
-            **serve_doc["multi_tenant"],
+        table_build_wall_s = time.perf_counter() - t0
+        sizes = setup.visible_table.entry_sizes()
+        _TABLE_BUILDS[key] = {
+            "kernel": kernel,
+            "resolved_kernel": resolve_kernel(kernel, setup.grid.n_blocks),
+            "n_blocks": int(setup.grid.n_blocks),
+            "volume_voxels": int(setup.volume.n_voxels),
+            "n_samples": int(setup.visible_table.n_entries),
+            "mean_set_size": float(sizes.mean()) if sizes.size else 0.0,
+            "importance_wall_s": importance_wall_s,
+            "table_build_wall_s": table_build_wall_s,
         }
-
-    doc: Dict[str, object] = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "label": label,
-        "quick": quick,
-        "engine": "batched",
-        "workers": n_workers,
-        "config": asdict(config),
-        "runs": runs,
-        "multi_tenant": multi_tenant,
-        "suite_wall_s": time.perf_counter() - t0,  # informational; never compared
-        "phases": suite_profiler.report(),
-    }
-
-    if profile_path is not None:
-        notify(f"profile: re-running {PROFILE_CELL} with span timeline")
-        path_name, policy = PROFILE_CELL.split("/")
-        run_profiler = PhaseProfiler(keep_timeline=True)
-        _run_one(
-            setup,
-            _paths(config, setup.view_angle_deg)[path_name],
-            policy,
-            config,
-            profiler=run_profiler,
-            cell_index=BENCH_CELLS.index((path_name, policy)),
-        )
-        out = run_profiler.write_chrome_trace(profile_path)
-        doc["profile"] = {"cell": PROFILE_CELL, "path": str(out)}
-
-    return doc
+    return _TABLE_BUILDS[key]
 
 
-def write_bench(doc: Dict[str, object], out_dir: PathLike = ".") -> Path:
-    """Write ``BENCH_<label>.json`` under ``out_dir``; returns the path."""
-    label = str(doc["label"]).replace("/", "-")
-    path = Path(out_dir) / f"BENCH_{label}.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
-
-
-def load_bench(path: PathLike) -> Dict[str, object]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = doc.get("schema_version")
-    if version != BENCH_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: schema_version {version!r} != supported {BENCH_SCHEMA_VERSION}"
-        )
-    return doc
-
-
-# -- comparison ---------------------------------------------------------------
-# The flattening/threshold logic lives in repro.experiments.gating (shared
-# with the serve gate and the matrix runner); this section translates the
-# canonical metric sets and rows back into the bench tier's historical
-# shapes so committed baselines keep gating with bit-identical verdicts.
-
-#: Wall-clock metrics included in the comparison — fullscale tier only.
-_FULLSCALE_WALL_METRICS = ("importance_wall_s", "table_build_wall_s", "peak_rss_bytes")
-
-
-def _gating_metric_set(doc: Dict[str, object]) -> MetricSet:
-    """Flatten a bench snapshot (any tier) into a gating metric set."""
-    out: MetricSet = {}
-    tier = doc.get("tier")
-    if tier == "fullscale":
-        section = doc.get("fullscale", {})
-        for name in _FULLSCALE_WALL_METRICS:
-            value = section.get(name)
-            if isinstance(value, (int, float)):
-                out[f"fullscale.{name}"] = (
-                    float(value), GateRule("lower", scale=WALL_THRESHOLD_FACTOR),
-                )
-    if tier == "cluster":
-        # Cluster-tier network ledger: all simulated-clock/byte quantities,
-        # deterministic for pinned config, so they gate at the sim threshold.
-        out.update(flatten_cluster_section(doc.get("cluster", {})))
-    wall_metrics = ("wall_s", "per_step_wall_s") if tier == "fullscale" else ()
-    for run_key, run in sorted(doc["runs"].items()):
-        out.update(flatten_run_summary(run, run_key, wall_metrics=wall_metrics))
-    # Multi-tenant serving metrics (absent from pre-multi-tenant snapshots:
-    # they then report "missing" on one side and never regress).  The bench
-    # tier gates fairness/cross-evictions relatively, unlike the serve gate.
-    mt = doc.get("multi_tenant")
-    if mt:
-        out.update(flatten_multi_tenant(mt, relative=True))
-    return out
-
-
-def comparable_metrics(doc: Dict[str, object]) -> Dict[str, Tuple[float, str]]:
-    """Flatten a snapshot to ``{metric-name: (value, direction)}``.
-
-    For the default tier, only simulated-clock quantities are included —
-    wall-clock phases and event counts are reported but never compared, so
-    a comparison of two runs of identical code is machine-independent.
-    Fullscale-tier snapshots (``doc["tier"] == "fullscale"``) additionally
-    compare their wall-clock and peak-RSS metrics, which
-    :func:`compare_bench` holds to the widened
-    ``threshold * WALL_THRESHOLD_FACTOR``.
-    """
+def _fullscale_cell(
+    cell: MatrixCell, extras: Mapping[str, object], profiler: Optional[PhaseProfiler] = None
+) -> Dict[str, object]:
+    """One lightweight wall-clock cell: summary, replay wall, build record."""
+    config = cell.config
+    setup = setup_for(config, extras)
+    build = _build_tables(setup, str(extras.get("kernel", "auto")))
+    context = context_for(setup, config, extras)
+    tracer = Tracer(capacity=int(extras.get("tracer_capacity", 500_000)))
+    if profiler is None:
+        profiler = PhaseProfiler(tracer=tracer)
+    hierarchy = setup.hierarchy("lru" if config.policy == "app-aware" else config.policy)
+    # Aggregated roll-ups bound the event count at fullscale step counts;
+    # the forensic per-block stream is the bench-cell's job.
+    hierarchy.aggregate_trace = True
+    t0 = time.perf_counter()
+    result = _replay(
+        setup, context, config.policy, hierarchy,
+        tracer=tracer, registry=MetricsRegistry(), profiler=profiler,
+    )
+    wall = time.perf_counter() - t0
     return {
-        name: (value, rule.direction)
-        for name, (value, rule) in _gating_metric_set(doc).items()
+        "wall_s": wall,
+        "per_step_wall_s": wall / max(1, config.steps),
+        "summary": result.summary(),
+        "hierarchy_stats": result.hierarchy_stats.as_dict(),
+        "phases": profiler.report(),
+        "fullscale": {**build, "peak_rss_bytes": _peak_rss_bytes()},
     }
 
 
-def compare_bench(
-    old: Dict[str, object],
-    new: Dict[str, object],
-    threshold: float = 0.10,
-    abs_floor: float = 1e-12,
-) -> List[Dict[str, object]]:
-    """Diff two snapshots; one row per metric present in both.
+register_cell_runner("bench-cell", _bench_cell)
+register_cell_runner("fullscale-cell", _fullscale_cell)
 
-    A metric regresses when it moves in its bad direction by more than
-    ``threshold`` (relative, against ``max(|old|, abs_floor)``).  Metrics
-    missing from either side are reported with status ``"missing"`` and
-    do not regress.  Wall-clock/RSS metrics (present in fullscale-tier
-    snapshots only) regress at ``threshold * WALL_THRESHOLD_FACTOR`` —
-    they ratchet raw speed while tolerating machine noise.
-    """
-    rows = compare_metric_sets(
-        _gating_metric_set(old), _gating_metric_set(new),
-        threshold=threshold, abs_floor=abs_floor,
-    )
-    out: List[Dict[str, object]] = []
-    for row in rows:
-        if row["status"] == "missing":
-            out.append(dict(row))
-        else:
-            out.append({
-                "metric": row["metric"],
-                "old": row["old"],
-                "new": row["new"],
-                "rel_change": row["change"],
-                "direction": row["direction"],
-                "status": row["status"],
-            })
-    return out
+_PROFILED_RUNNERS = ("bench-cell", "fullscale-cell")
 
 
-def format_comparison(rows: List[Dict[str, object]], verbose: bool = False) -> str:
-    """Human-readable comparison; non-ok rows always shown."""
-    lines = [f"{'metric':<58} {'old':>12} {'new':>12} {'change':>9}  status"]
-    lines.append("-" * len(lines[0]))
-    shown = 0
-    for row in rows:
-        if row["status"] == "ok" and not verbose:
-            continue
-        shown += 1
-        old = "-" if row.get("old") is None else f"{row['old']:.6g}"
-        new = "-" if row.get("new") is None else f"{row['new']:.6g}"
-        change = (
-            f"{row['rel_change']:+.1%}" if "rel_change" in row else "-"
+def profile_target(spec: MatrixSpec) -> MatrixCell:
+    """The cell ``--profile`` re-runs; a one-line ``ValueError`` when the
+    spec has no :data:`PROFILE_CELL` on a runner that takes a profiler."""
+    cells = {cell.key: cell for cell in expand_cells(spec)}
+    if spec.runner not in _PROFILED_RUNNERS or PROFILE_CELL not in cells:
+        raise ValueError(
+            f"--profile re-runs cell {PROFILE_CELL!r} on a {'/'.join(_PROFILED_RUNNERS)} "
+            f"spec; spec {spec.label!r} ({spec.runner} runner) has cells {sorted(cells)}"
         )
-        lines.append(f"{row['metric']:<58} {old:>12} {new:>12} {change:>9}  {row['status']}")
-    n_reg = sum(1 for r in rows if r["status"] == "regression")
-    lines.append(
-        f"{len(rows)} metrics compared, {n_reg} regression(s), "
-        f"{len(rows) - shown} unchanged/ok hidden"
-        if not verbose
-        else f"{len(rows)} metrics compared, {n_reg} regression(s)"
-    )
-    return "\n".join(lines)
+    return cells[PROFILE_CELL]
+
+
+def profile_cell(spec: MatrixSpec, cell: MatrixCell, path) -> Dict[str, str]:
+    """Re-run ``cell`` with a span timeline kept and write it to ``path``
+    as a Chrome trace; returns the snapshot's ``profile`` entry."""
+    profiler = PhaseProfiler(keep_timeline=True)
+    CELL_RUNNERS[spec.runner](cell, spec.setup, profiler=profiler)
+    out = profiler.write_chrome_trace(path)
+    return {"cell": cell.key, "path": str(out)}

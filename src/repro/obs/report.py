@@ -1,6 +1,6 @@
 """Self-contained HTML rendering of attribution + forensics documents.
 
-``repro analyze`` feeds this module a bench snapshot, a serve snapshot,
+``repro analyze`` feeds this module a snapshot (bench or serve cells)
 or a bare attribution report and gets back one HTML file with no
 external assets — inline CSS only, no JavaScript — so the artifact can
 be archived from CI and opened anywhere:
@@ -297,11 +297,13 @@ summary{cursor:pointer}
 
 
 def render_report(doc: Mapping, title: Optional[str] = None) -> str:
-    """Render a bench/serve snapshot or bare attribution doc as HTML.
+    """Render a snapshot or a bare attribution doc as HTML.
 
-    Dispatch is structural: a ``"runs"`` key means a bench snapshot, a
-    ``"multi_tenant"`` key (without runs) a serve snapshot, anything with
-    ``"demand_components"`` a bare :class:`AttributionReport` document.
+    Dispatch is structural: a ``"cells"`` key means a snapshot (every
+    ``BENCH_``/``SERVE_``/``MATRIX_`` file; bench cells carry an
+    ``attribution`` section, serve cells per-tenant ones under
+    ``multi_tenant``), anything with ``"demand_components"`` a bare
+    :class:`AttributionReport` document.
     """
     sections: List[str] = []
     regret_rows: List[Tuple[str, Mapping]] = []
@@ -314,22 +316,19 @@ def render_report(doc: Mapping, title: Optional[str] = None) -> str:
         if regret:
             regret_rows.append((label, regret))
 
-    if "runs" in doc:
-        kind = f"bench snapshot {doc.get('label', '')}".strip()
-        for run_key in doc["runs"]:
-            add_attr(run_key, doc["runs"][run_key].get("attribution"))
-        mt = doc.get("multi_tenant") or {}
-        for tenant, attr in sorted((mt.get("attribution") or {}).get("tenants", {}).items()):
-            add_attr(f"tenant {tenant}", attr)
-    elif "multi_tenant" in doc:
-        kind = "serve snapshot"
-        mt = doc["multi_tenant"]
-        for tenant, attr in sorted((mt.get("attribution") or {}).get("tenants", {}).items()):
-            add_attr(f"tenant {tenant}", attr)
+    if "cells" in doc:
+        kind = f"snapshot {doc.get('label', '')}".strip()
+        for key, cell in sorted(doc["cells"].items(), key=lambda kv: kv[1].get("index", 0)):
+            add_attr(key, cell.get("attribution"))
+            mt = cell.get("multi_tenant") or {}
+            tenants = (mt.get("attribution") or {}).get("tenants", {})
+            for tenant, attr in sorted(tenants.items()):
+                add_attr(f"{key} tenant {tenant}", attr)
         if not sections:
             sections.append(
-                "<p>This serve snapshot carries no attribution section — "
-                "re-run with <code>attribution=True</code>.</p>"
+                "<p>No cell of this snapshot carries an attribution section "
+                "(bench cells and serve cells with <code>attribution</code> "
+                "on do).</p>"
             )
     elif "demand_components" in doc:
         kind = "attribution report"

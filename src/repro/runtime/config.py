@@ -357,12 +357,12 @@ CLI_FIELD_MAP: Dict[str, str] = {
 #: bench flag is covered by CLI_FIELD_MAP or this table (no orphans).
 CLI_ONLY_FLAGS: Dict[str, str] = {
     "command": "subcommand dispatch, not a run parameter",
-    "tier": "bench tier selection (default sim-clock suite vs fullscale wall-clock)",
-    "quick": "suite sizing of `repro bench` (same shape, less work)",
-    "label": "snapshot file naming (BENCH_<label>.json)",
+    "tier": "picks the bundled spec `repro bench` runs (bench, fullscale, cluster)",
+    "quick": "picks the tier's CI-smoke spec (bench-quick, fullscale-smoke, cluster-smoke)",
+    "label": "snapshot label: names the file (BENCH_/SERVE_/MATRIX_<label>.json)",
     "out": "output directory/file selection",
-    "workers": "process parallelism of the bench harness",
-    "profile": "extra Chrome-trace artifact emission",
+    "workers": "process parallelism of the spec's cells",
+    "profile": "re-runs the spec's orbit/app-aware cell for a Chrome-trace artifact",
     "compare": "snapshot comparison mode (no replay runs at all)",
     "threshold": "comparison regression threshold",
     "warn_only": "comparison exit-code policy",

@@ -1,10 +1,9 @@
 """Tests for the shared comparison/gating vocabulary.
 
-The bench tier, the serve gate, and the matrix runner all compare
-snapshots through this one module; the pinning tests here assert the
-verdicts on the committed baselines stay identical through the shared
-path (satellite of the matrix refactor: three near-identical
-comparable_metrics/compare implementations collapsed into one).
+Every snapshot (bench tiers, serve, matrix) is compared through this one
+module and ``compare_matrix``; the pinning tests here assert the verdicts
+on the committed baselines, and the multi-tenant tests pin the one rule
+set that replaced the serve and bench gates.
 """
 
 import copy
@@ -24,6 +23,7 @@ from repro.experiments.gating import (
     flatten_run_summary,
     format_gate_rows,
 )
+from repro.experiments.matrix import compare_matrix
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -69,13 +69,6 @@ class TestCompareMetricSets:
         assert compare_metric_sets(old, new)[0]["status"] == "regression"
         assert compare_metric_sets(old, old)[0]["status"] == "ok"
 
-    def test_absolute_drop_mode(self):
-        # drop limit = threshold * scale = 0.2 * 2.0 = 0.4 absolute units
-        rule = GateRule("higher", mode="absolute_drop", scale=2.0)
-        old = {"m": (0.9, rule)}
-        assert compare_metric_sets(old, {"m": (0.6, rule)}, threshold=0.2)[0]["status"] == "ok"
-        assert compare_metric_sets(old, {"m": (0.3, rule)}, threshold=0.2)[0]["status"] == "regression"
-
     def test_strict_zero_mode(self):
         rule = GateRule("lower", mode="relative_strict_zero")
         old = {"m": (0.0, rule)}
@@ -106,116 +99,155 @@ class TestCompareMetricSets:
 class TestFlatteners:
     def test_run_summary_on_committed_bench(self):
         doc = _load("BENCH_baseline.json")
-        run = doc["runs"]["orbit/lru"]
-        metrics = flatten_run_summary(run, "orbit/lru")
+        cell = doc["cells"]["orbit/lru"]
+        metrics = flatten_run_summary(cell, "orbit/lru")
         assert "orbit/lru.total_miss_rate" in metrics
         assert "orbit/lru.trace.n_dropped" in metrics
         assert not any("wall" in name for name in metrics)
-        # wall metrics only appear when asked for, at the widened threshold
-        walled = flatten_run_summary(run, "x", wall_metrics=("wall_s",))
-        assert walled["x.wall_s"][1].scale == WALL_THRESHOLD_FACTOR
+        # wall metrics gate where a cell records them, at the widened threshold
+        walled = flatten_run_summary(dict(cell, per_step_wall_s=0.001), "x")
+        assert walled["x.per_step_wall_s"][1].scale == WALL_THRESHOLD_FACTOR
 
     def test_multi_tenant_on_committed_serve(self):
-        mt = _load("SERVE_baseline.json")["multi_tenant"]
-        metrics = flatten_multi_tenant(mt, strict_zero=True)
-        assert "multi_tenant.fairness_jain" in metrics
-        assert metrics["multi_tenant.fairness_jain"][1].mode == "absolute_drop"
-        relative = flatten_multi_tenant(mt, relative=True)
-        assert relative["multi_tenant.fairness_jain"][1].mode == "relative"
+        mt = _load("SERVE_baseline.json")["cells"]["serve"]["multi_tenant"]
+        metrics = flatten_multi_tenant(mt)
+        assert metrics["multi_tenant.fairness_jain"][1] == GateRule("higher")
+        assert metrics["multi_tenant.cross_evictions"][1].mode == "absolute_increase"
+        strict = GateRule("lower", mode="relative_strict_zero")
+        assert metrics["multi_tenant.makespan_s"][1] == strict
+        assert metrics["multi_tenant.pooled.p50"][1] == strict
+        tenant = sorted(mt["frame_times"]["per_tenant"])[0]
+        assert metrics[f"multi_tenant.{tenant}.p99"][1] == strict
 
     def test_cluster_section_on_committed_snapshot(self):
-        section = _load("BENCH_cluster.json")["cluster"]
+        section = _load("BENCH_cluster.json")["cells"]["orbit/K4/partition"]["cluster"]
         metrics = flatten_cluster_section(section)
         assert "cluster.split_bytes.peer" in metrics
         assert metrics["cluster.locality_score"][1].direction == "higher"
 
 
+def _mt(fairness=0.9, cross_evictions=0, p99=0.03):
+    return {
+        "makespan_s": 1.0,
+        "cross_evictions": cross_evictions,
+        "frame_times": {
+            "fairness_jain": fairness,
+            "pooled": {"p50": 0.01, "p95": 0.02, "p99": p99},
+            "per_tenant": {"s000": {"p50": 0.01, "p95": 0.02, "p99": p99}},
+        },
+    }
+
+
+class TestUnifiedMultiTenantRules:
+    """One rule set, at least as strict as the serve and bench gates it
+    replaced: each of these regresses at every threshold CI uses."""
+
+    @pytest.mark.parametrize("threshold", [0.10, 0.25])
+    def test_fairness_drop_of_0_3_regresses(self, threshold):
+        for old in (0.98, 0.9, 0.5):
+            rows = compare_metric_sets(
+                flatten_multi_tenant(_mt(fairness=old)),
+                flatten_multi_tenant(_mt(fairness=old - 0.3)),
+                threshold=threshold,
+            )
+            row = next(r for r in rows if r["metric"] == "multi_tenant.fairness_jain")
+            assert row["status"] == "regression", old
+
+    @pytest.mark.parametrize("threshold", [0.10, 0.25])
+    def test_one_more_cross_eviction_regresses(self, threshold):
+        for old in (0, 10):
+            rows = compare_metric_sets(
+                flatten_multi_tenant(_mt(cross_evictions=old)),
+                flatten_multi_tenant(_mt(cross_evictions=old + 1)),
+                threshold=threshold,
+            )
+            row = next(r for r in rows if r["metric"] == "multi_tenant.cross_evictions")
+            assert row["status"] == "regression", old
+
+    @pytest.mark.parametrize("threshold", [0.10, 0.25])
+    def test_percentile_leaving_zero_regresses(self, threshold):
+        rows = compare_metric_sets(
+            flatten_multi_tenant(_mt(p99=0.0)),
+            flatten_multi_tenant(_mt(p99=1e-15)),
+            threshold=threshold,
+        )
+        bad = {r["metric"] for r in rows if r["status"] == "regression"}
+        assert bad == {"multi_tenant.pooled.p99", "multi_tenant.s000.p99"}
+
+
 class TestBenchVerdictPinning:
-    """compare_bench on the committed baseline through the shared gate."""
+    """compare_matrix on the committed bench baselines."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
         return _load("BENCH_baseline.json")
 
     def test_self_compare_all_ok(self, baseline):
-        from repro.obs.bench import compare_bench
-
-        rows = compare_bench(baseline, baseline)
+        rows = compare_matrix(baseline, baseline)
         assert rows and all(r["status"] == "ok" for r in rows)
-        # legacy row vocabulary preserved: rel_change, not change
-        assert all("rel_change" in r for r in rows)
+        assert all("change" in r for r in rows)
 
     def test_perturbed_miss_rate_regresses(self, baseline):
-        from repro.obs.bench import compare_bench
-
         worse = copy.deepcopy(baseline)
-        worse["runs"]["orbit/lru"]["summary"]["total_miss_rate"] *= 1.5
-        rows = compare_bench(baseline, worse)
+        worse["cells"]["orbit/lru"]["summary"]["total_miss_rate"] *= 1.5
+        rows = compare_matrix(baseline, worse)
         bad = [r for r in rows if r["status"] == "regression"]
         assert [r["metric"] for r in bad] == ["orbit/lru.total_miss_rate"]
 
     def test_improvement_reported(self, baseline):
-        from repro.obs.bench import compare_bench
-
         better = copy.deepcopy(baseline)
-        better["runs"]["orbit/lru"]["summary"]["io_time_s"] *= 0.5
-        rows = compare_bench(baseline, better)
+        better["cells"]["orbit/lru"]["summary"]["io_time_s"] *= 0.5
+        rows = compare_matrix(baseline, better)
         assert any(
             r["metric"] == "orbit/lru.io_time_s" and r["status"] == "improved"
             for r in rows
         )
 
     def test_cluster_tier_self_compare(self):
-        from repro.obs.bench import compare_bench
-
         doc = _load("BENCH_cluster.json")
-        rows = compare_bench(doc, doc)
+        rows = compare_matrix(doc, doc)
         assert all(r["status"] == "ok" for r in rows)
-        assert any(r["metric"].startswith("cluster.") for r in rows)
+        assert any(".cluster." in r["metric"] for r in rows)
 
 
 class TestServeVerdictPinning:
-    """compare_serve on the committed baseline through the shared gate."""
+    """compare_matrix on the committed serve baseline."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
         return _load("SERVE_baseline.json")
 
     def test_self_compare_all_ok(self, baseline):
-        from repro.experiments.loadgen import compare_serve
-
-        rows = compare_serve(baseline, baseline)
+        rows = compare_matrix(baseline, baseline)
         assert rows and all(r["status"] == "ok" for r in rows)
-        # legacy vocabulary: ratio key, fairness row last
-        assert all("ratio" in r for r in rows)
-        assert rows[-1]["metric"] == "fairness_jain"
+        assert "serve.multi_tenant.fairness_jain" in {r["metric"] for r in rows}
 
     def test_cross_evictions_gate_is_absolute(self, baseline):
-        from repro.experiments.loadgen import compare_serve
-
         worse = copy.deepcopy(baseline)
-        worse["multi_tenant"]["cross_evictions"] += 1
-        rows = compare_serve(baseline, worse)
+        worse["cells"]["serve"]["multi_tenant"]["cross_evictions"] += 1
+        rows = compare_matrix(baseline, worse)
         assert any(
-            r["metric"] == "cross_evictions" and r["status"] == "regressed"
+            r["metric"] == "serve.multi_tenant.cross_evictions"
+            and r["status"] == "regression"
             for r in rows
         )
 
     def test_fairness_drop_regresses(self, baseline):
-        from repro.experiments.loadgen import compare_serve
-
         worse = copy.deepcopy(baseline)
-        worse["multi_tenant"]["frame_times"]["fairness_jain"] -= 0.3
-        rows = compare_serve(baseline, worse, threshold=0.25)
-        fairness = [r for r in rows if r["metric"] == "fairness_jain"]
-        assert fairness and fairness[0]["status"] == "regressed"
+        worse["cells"]["serve"]["multi_tenant"]["frame_times"]["fairness_jain"] -= 0.3
+        rows = compare_matrix(baseline, worse, threshold=0.25)
+        fairness = [r for r in rows if r["metric"] == "serve.multi_tenant.fairness_jain"]
+        assert fairness and fairness[0]["status"] == "regression"
 
     def test_missing_tenant_rows_are_schema_only(self, baseline):
-        from repro.experiments.loadgen import compare_serve
-
+        """A tenant present on one side only reports ``missing`` rows
+        (with the present side's value) and never regresses."""
         fewer = copy.deepcopy(baseline)
-        per_tenant = fewer["multi_tenant"]["frame_times"]["per_tenant"]
-        per_tenant.pop(sorted(per_tenant)[0])
-        rows = compare_serve(baseline, fewer)
-        missing = [r for r in rows if r["status"].startswith("missing")]
-        assert missing and all(set(r) == {"metric", "status"} for r in missing)
+        per_tenant = fewer["cells"]["serve"]["multi_tenant"]["frame_times"]["per_tenant"]
+        gone = sorted(per_tenant)[0]
+        per_tenant.pop(gone)
+        rows = compare_matrix(baseline, fewer)
+        missing = [r for r in rows if r["status"] == "missing"]
+        assert missing and all(f".{gone}." in r["metric"] for r in missing)
+        assert all(r["new"] is None and r["old"] is not None for r in missing)
+        assert count_regressions(rows) == 0

@@ -1,18 +1,19 @@
 """The serve-sim load generator: seeded synthesis, snapshots, gating."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.experiments.loadgen import (
-    LoadGenConfig,
-    compare_serve,
-    comparable_serve_metrics,
-    format_serve_comparison,
-    load_serve,
-    make_session_specs,
-    run_load,
-    write_serve,
+from repro.experiments.gating import format_gate_rows
+from repro.experiments.loadgen import LoadGenConfig, make_session_specs, run_load
+from repro.experiments.matrix import (
+    comparable_matrix_metrics,
+    compare_matrix,
+    load_matrix,
+    load_spec,
+    run_matrix,
+    write_matrix,
 )
 
 SMALL = LoadGenConfig(n_sessions=4, steps=5, blocks=64, scale=0.04, seed=3)
@@ -81,7 +82,7 @@ class TestRunLoad:
         assert json.dumps(doc, sort_keys=True) == json.dumps(again, sort_keys=True)
 
     def test_snapshot_shape(self, doc):
-        assert doc["schema_version"] == 1
+        assert set(doc) == {"config", "workloads", "multi_tenant"}
         assert doc["config"]["n_sessions"] == 4
         mt = doc["multi_tenant"]
         assert mt["n_sessions"] == 4
@@ -95,21 +96,34 @@ class TestRunLoad:
         assert doc["multi_tenant"]["quotas"] == {}
 
     def test_roundtrip_and_compare_clean(self, doc, tmp_path):
-        path = write_serve(doc, "t", tmp_path)
+        """The serve spec's cell is run_load's scenario, and its snapshot
+        round-trips through the one writer/loader/comparer."""
+        spec = load_spec("serve-baseline")
+        spec = dataclasses.replace(spec, label="t", base={
+            **spec.base, "sessions": 4, "steps": 5, "blocks": 64, "scale": 0.04,
+            "seed": 3,
+        })
+        snapshot = run_matrix(spec)
+        cell = snapshot["cells"]["serve"]
+        assert cell["workloads"] == doc["workloads"]
+        assert cell["multi_tenant"]["frame_times"] == doc["multi_tenant"]["frame_times"]
+        path = write_matrix(snapshot, tmp_path, prefix="SERVE")
         assert path.name == "SERVE_t.json"
-        loaded = load_serve(path)
-        rows = compare_serve(loaded, doc)
-        assert all(r["status"] == "ok" for r in rows)
-        assert "ok:" in format_serve_comparison(rows)
+        loaded = load_matrix(path)
+        rows = compare_matrix(loaded, snapshot)
+        assert rows and all(r["status"] == "ok" for r in rows)
+        assert "0 regression(s)" in format_gate_rows(rows)
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         bad = tmp_path / "SERVE_bad.json"
-        bad.write_text(json.dumps({"schema_version": 99}))
-        with pytest.raises(ValueError, match="schema version"):
-            load_serve(bad)
+        bad.write_text(json.dumps({"kind": "matrix", "schema_version": 99}))
+        with pytest.raises(ValueError, match="schema_version 99"):
+            load_matrix(bad)
 
 
 class TestCompareServe:
+    """The unified multi-tenant rules on a serve cell."""
+
     def _doc(self, p99_scale=1.0, fairness=0.9, tenants=("a", "b")):
         per = {
             t: {"p50": 0.01, "p95": 0.02, "p99": 0.03 * p99_scale,
@@ -117,48 +131,55 @@ class TestCompareServe:
             for t in tenants
         }
         return {
-            "schema_version": 1,
-            "multi_tenant": {
-                "makespan_s": 1.0,
-                "cross_evictions": 0,
-                "frame_times": {
-                    "per_tenant": per,
-                    "pooled": {"p50": 0.01, "p95": 0.02, "p99": 0.03 * p99_scale,
-                               "mean": 0.01, "max": 0.05, "count": 20},
-                    "fairness_jain": fairness,
+            "cells": {
+                "serve": {
+                    "multi_tenant": {
+                        "makespan_s": 1.0,
+                        "cross_evictions": 0,
+                        "frame_times": {
+                            "per_tenant": per,
+                            "pooled": {"p50": 0.01, "p95": 0.02,
+                                       "p99": 0.03 * p99_scale,
+                                       "mean": 0.01, "max": 0.05, "count": 20},
+                            "fairness_jain": fairness,
+                        },
+                    },
                 },
             },
         }
 
     def test_regression_on_p99_blowup(self):
-        rows = compare_serve(self._doc(), self._doc(p99_scale=2.0), threshold=0.25)
-        regressed = {r["metric"] for r in rows if r["status"] == "regressed"}
-        assert "a/p99" in regressed and "pooled/p99" in regressed
+        rows = compare_matrix(self._doc(), self._doc(p99_scale=2.0), threshold=0.25)
+        regressed = {r["metric"] for r in rows if r["status"] == "regression"}
+        assert "serve.multi_tenant.a.p99" in regressed
+        assert "serve.multi_tenant.pooled.p99" in regressed
 
     def test_within_threshold_ok(self):
-        rows = compare_serve(self._doc(), self._doc(p99_scale=1.1), threshold=0.25)
+        rows = compare_matrix(self._doc(), self._doc(p99_scale=1.1), threshold=0.25)
         assert all(r["status"] == "ok" for r in rows)
 
     def test_fairness_drop_regresses(self):
-        rows = compare_serve(self._doc(fairness=0.95), self._doc(fairness=0.5),
-                             threshold=0.25)
-        fairness_row = next(r for r in rows if r["metric"] == "fairness_jain")
-        assert fairness_row["status"] == "regressed"
+        rows = compare_matrix(self._doc(fairness=0.95), self._doc(fairness=0.5),
+                              threshold=0.25)
+        row = next(r for r in rows if r["metric"] == "serve.multi_tenant.fairness_jain")
+        assert row["status"] == "regression"
 
     def test_new_tenant_is_missing_not_regressed(self):
-        rows = compare_serve(
+        rows = compare_matrix(
             self._doc(tenants=("a",)), self._doc(tenants=("a", "b")), threshold=0.25
         )
-        b_rows = [r for r in rows if r["metric"].startswith("b/")]
+        b_rows = [r for r in rows if r["metric"].startswith("serve.multi_tenant.b.")]
         assert b_rows and all(r["status"] == "missing" for r in b_rows)
 
     def test_cross_evictions_increase_regresses(self):
         new = self._doc()
-        new["multi_tenant"]["cross_evictions"] = 3
-        rows = compare_serve(self._doc(), new)
-        row = next(r for r in rows if r["metric"] == "cross_evictions")
-        assert row["status"] == "regressed"
+        new["cells"]["serve"]["multi_tenant"]["cross_evictions"] = 3
+        rows = compare_matrix(self._doc(), new)
+        row = next(r for r in rows if r["metric"] == "serve.multi_tenant.cross_evictions")
+        assert row["status"] == "regression"
 
     def test_comparable_metrics_flat(self):
-        m = comparable_serve_metrics(self._doc())
-        assert {"makespan_s", "cross_evictions", "pooled/p99", "a/p50"} <= set(m)
+        m = comparable_matrix_metrics(self._doc())
+        prefix = "serve.multi_tenant."
+        assert {prefix + name for name in ("makespan_s", "cross_evictions",
+                                           "pooled.p99", "a.p50")} <= set(m)

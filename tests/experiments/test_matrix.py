@@ -162,8 +162,8 @@ class TestLoadSpec:
             assert name in str(err.value)
 
     def test_bundled_names_cover_committed_tiers(self):
-        assert {"smoke", "bench", "bench-quick", "serve-baseline",
-                "cluster-smoke", "fullscale-smoke"} <= set(bundled_spec_names())
+        assert {"smoke", "bench", "bench-quick", "serve-baseline", "cluster",
+                "cluster-smoke", "fullscale", "fullscale-smoke"} <= set(bundled_spec_names())
 
     def test_json_spec_path(self, tmp_path):
         path = tmp_path / "tiny.json"
@@ -171,35 +171,47 @@ class TestLoadSpec:
         assert load_spec(path).to_dict() == TINY_SPEC.to_dict()
 
 
+#: base/setup keys a tier's full and CI-smoke specs may differ in.
+_GEOMETRY = ("blocks", "scale", "steps", "n_directions", "n_distances")
+
+
+def _shape(name):
+    """A bundled spec without its geometry and comment-only differences."""
+    d = load_spec(name).to_dict()
+    for section in ("base", "setup"):
+        for key in _GEOMETRY:
+            d[section].pop(key, None)
+    return d
+
+
 class TestSpecPinning:
-    """The committed TOMLs ARE the legacy tiers — pinned against builders."""
+    """Each tier's full and CI-smoke specs are one suite at two sizes, and
+    the CI serve command runs the committed serve spec."""
 
     def test_bench_specs(self):
-        from repro.obs.bench import BenchConfig, bench_matrix_spec
+        assert _shape("bench") == _shape("bench-quick")
+        assert load_spec("bench").runner == "bench-cell"
 
-        assert load_spec("bench").to_dict() == bench_matrix_spec(BenchConfig()).to_dict()
-        assert (load_spec("bench-quick").to_dict()
-                == bench_matrix_spec(BenchConfig.quick()).to_dict())
+    def test_serve_baseline_spec(self, tmp_path, capsys):
+        from repro.cli import main
 
-    def test_serve_baseline_spec(self):
-        from repro.experiments.loadgen import LoadGenConfig, serve_matrix_spec
-
-        built = serve_matrix_spec(
-            LoadGenConfig(blocks=128, scale=0.06, steps=16), label="serve-baseline"
-        )
-        assert load_spec("serve-baseline").to_dict() == built.to_dict()
+        assert main([
+            "serve-sim", "--sessions", "8", "--session-steps", "16",
+            "--serve-blocks", "128", "--serve-scale", "0.06", "--serve-seed", "0",
+            "--label", "ci", "--out", str(tmp_path),
+        ]) == 0
+        doc = load_matrix(tmp_path / "SERVE_ci.json")
+        expected = load_spec("serve-baseline").to_dict()
+        expected["matrix"]["label"] = "ci"
+        assert doc["spec"] == json.loads(json.dumps(expected))
 
     def test_cluster_smoke_spec(self):
-        from repro.obs.bench_cluster import ClusterConfig, cluster_matrix_spec
-
-        assert (load_spec("cluster-smoke").to_dict()
-                == cluster_matrix_spec(ClusterConfig.smoke()).to_dict())
+        assert _shape("cluster") == _shape("cluster-smoke")
+        assert load_spec("cluster").axes["shards"] == (1, 4)
 
     def test_fullscale_smoke_spec(self):
-        from repro.obs.bench_fullscale import FullscaleConfig, fullscale_matrix_spec
-
-        assert (load_spec("fullscale-smoke").to_dict()
-                == fullscale_matrix_spec(FullscaleConfig.smoke()).to_dict())
+        assert _shape("fullscale") == _shape("fullscale-smoke")
+        assert load_spec("fullscale").base["scale"] == 0.5
 
 
 class TestExpandGrid:
@@ -239,7 +251,9 @@ class TestExpandCells:
         assert [c.index for c in cells] == [0, 1, 2]  # skipped K1/partition eats no index
 
     def test_no_axes_single_cell_named_after_label(self):
-        spec = load_spec("serve-baseline")
+        import dataclasses
+
+        spec = dataclasses.replace(load_spec("serve-baseline"), key_prefix="")
         cells = expand_cells(spec)
         assert len(cells) == 1
         assert cells[0].key == "serve-baseline"
@@ -290,8 +304,8 @@ class TestRunners:
             register_cell_runner("replay", lambda cell, extras: {})
 
     def test_plugin_runner_autoloads(self):
-        # fullscale-cell is registered by repro.obs.bench_fullscale, which
-        # spec validation imports on demand — the bundled spec just works.
+        # fullscale-cell is registered by repro.obs.bench, which spec
+        # validation imports on demand — the bundled spec just works.
         spec = load_spec("fullscale-smoke")
         assert spec.runner == "fullscale-cell"
 

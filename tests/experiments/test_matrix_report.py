@@ -80,7 +80,7 @@ class TestFaultAndTenantSections:
         serve = json.loads((REPO_ROOT / "SERVE_baseline.json").read_text())
         doc = copy.deepcopy(doc)
         key = next(iter(doc["cells"]))
-        doc["cells"][key]["multi_tenant"] = serve["multi_tenant"]
+        doc["cells"][key]["multi_tenant"] = serve["cells"]["serve"]["multi_tenant"]
         html = render_matrix_report(doc, base_dir=REPO_ROOT)
         assert "Fairness / per-tenant frame times" in html
         assert "p99" in html

@@ -80,13 +80,19 @@ def _bench_doc():
         "actual_fast_misses": 40, "belady_misses": 25, "regret": 15,
     }
     return {
-        "schema_version": 1,
+        "schema_version": 2,
+        "kind": "matrix",
         "label": "test",
-        "runs": {"orbit/lru": {"attribution": attr}},
-        "multi_tenant": {
-            "attribution": {
-                "schema_version": 1,
-                "tenants": {"s000": _attr_doc(frames=[])},
+        "cells": {
+            "orbit/lru": {"index": 0, "attribution": attr},
+            "serve": {
+                "index": 1,
+                "multi_tenant": {
+                    "attribution": {
+                        "schema_version": 1,
+                        "tenants": {"s000": _attr_doc(frames=[])},
+                    },
+                },
             },
         },
     }
@@ -109,8 +115,10 @@ class TestRenderReport:
         assert "Regret vs Belady" not in html  # no regret section present
 
     def test_serve_doc_without_attribution(self):
-        html = render_report({"multi_tenant": {"frame_times": {}}})
-        assert "no attribution section" in html
+        html = render_report(
+            {"cells": {"serve": {"index": 0, "multi_tenant": {"frame_times": {}}}}}
+        )
+        assert "No cell of this snapshot carries an attribution section" in html
 
     def test_not_reconciled_is_flagged(self):
         doc = _attr_doc(reconciled=False)

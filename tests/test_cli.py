@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -165,7 +164,9 @@ class TestBench:
         path = tmp_path / "BENCH_smoke.json"
         assert path.exists()
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 1 and doc["quick"] is True
+        assert doc["schema_version"] == 2 and doc["kind"] == "matrix"
+        # --quick runs the bench-quick spec
+        assert all(cell["config"]["blocks"] == 64 for cell in doc["cells"].values())
         assert "wrote" in capsys.readouterr().out
 
     def test_compare_self_exits_zero(self, tmp_path, capsys):
@@ -177,7 +178,9 @@ class TestBench:
     def test_compare_missing_file_exits_two(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["bench", "--compare", missing, missing]) == 2
-        assert "error:" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "error:" not in captured.out
 
     def test_faulted_quick_bench(self, tmp_path, capsys):
         import json
@@ -188,9 +191,35 @@ class TestBench:
         ])
         assert rc == 0
         doc = json.loads((tmp_path / "BENCH_chaos.json").read_text())
-        assert doc["config"]["faults"] == "flaky-hdd"
-        assert all("faults" in run for run in doc["runs"].values())
+        assert doc["spec"]["base"]["faults"] == "flaky-hdd"
+        for cell in doc["cells"].values():
+            assert cell["faults"]["profile"] == "flaky-hdd"
+            assert cell["faults"]["seed"] == 42
         assert "faults[" in capsys.readouterr().out
+
+    def test_unreconciled_ledger_exits_one(self, tmp_path, capsys, monkeypatch):
+        """A sharded cell whose byte ledger fails to reconcile fails the
+        run with one line naming each such cell (no assert: it must hold
+        under ``python -O`` too)."""
+        import repro.obs.bench_cluster as bench_cluster
+
+        monkeypatch.setattr(bench_cluster, "ledger_reconciles", lambda h: False)
+        rc = main(["bench", "--tier", "cluster", "--quick", "--label", "c",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        for key in ("orbit/K1", "orbit/K4", "orbit/K4/partition"):
+            assert key in err
+
+    def test_profile_on_cluster_tier_is_one_line_error(self, tmp_path, capsys):
+        rc = main(["bench", "--tier", "cluster", "--quick", "--out", str(tmp_path),
+                   "--profile", str(tmp_path / "p.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--profile" in err and "orbit/app-aware" in err
+        assert not list(tmp_path.iterdir())  # nothing ran, nothing written
 
 
 class TestRender:
@@ -224,9 +253,10 @@ class TestServeSim:
         rc = main(self._FAST + ["--label", "t", "--out", str(tmp_path)])
         assert rc == 0
         doc = json.loads((tmp_path / "SERVE_t.json").read_text())
-        assert doc["schema_version"] == 1
-        assert doc["multi_tenant"]["n_sessions"] == 4
-        assert doc["multi_tenant"]["cross_evictions"] == 0
+        assert doc["schema_version"] == 2 and doc["runner"] == "serve"
+        mt = doc["cells"]["serve"]["multi_tenant"]
+        assert mt["n_sessions"] == 4
+        assert mt["cross_evictions"] == 0
         out = capsys.readouterr().out
         assert "fairness" in out and "p99" in out
 
@@ -234,12 +264,14 @@ class TestServeSim:
         main(self._FAST + ["--label", "a", "--out", str(tmp_path)])
         snap = str(tmp_path / "SERVE_a.json")
         assert main(["serve-sim", "--compare", snap, snap]) == 0
-        assert "ok:" in capsys.readouterr().out
+        assert "0 regression(s)" in capsys.readouterr().out
 
     def test_compare_missing_file_exits_two(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["serve-sim", "--compare", missing, missing]) == 2
-        assert "error:" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "error:" not in captured.out
 
     def test_partition_none(self, tmp_path):
         import json
@@ -248,7 +280,7 @@ class TestServeSim:
                                 "--out", str(tmp_path)])
         assert rc == 0
         doc = json.loads((tmp_path / "SERVE_n.json").read_text())
-        assert doc["multi_tenant"]["quotas"] == {}
+        assert doc["cells"]["serve"]["multi_tenant"]["quotas"] == {}
 
 
 @pytest.fixture(scope="module")
@@ -284,14 +316,10 @@ class TestAnalyze:
         assert "repro_eviction_lineage_evictions_total" in prom_text
 
     def test_serve_snapshot_source(self, tmp_path, capsys):
-        import json
-
-        from repro.experiments import LoadGenConfig, run_load
-
-        doc = run_load(LoadGenConfig(n_sessions=2, steps=4, blocks=64,
-                                     scale=0.04), attribution=True)
+        assert main(["serve-sim", "--sessions", "2", "--session-steps", "4",
+                     "--serve-blocks", "64", "--serve-scale", "0.04",
+                     "--label", "x", "--out", str(tmp_path)]) == 0
         snap = tmp_path / "SERVE_x.json"
-        snap.write_text(json.dumps(doc))
         rc = main(["analyze", str(snap), "--out", str(tmp_path / "r.html")])
         assert rc == 0
         assert "tenant:" in capsys.readouterr().out
@@ -351,8 +379,14 @@ class TestAnalyze:
         import json
 
         doc = {
-            "runs": {
+            "schema_version": 2,
+            "kind": "matrix",
+            "label": "bad",
+            "spec": {"axes": {}},
+            "cells": {
                 "bad/run": {
+                    "index": 0,
+                    "axes": {},
                     "attribution": {
                         "schema_version": 1,
                         "n_frames": 1,
@@ -474,6 +508,7 @@ class TestMatrix:
     def test_compare_missing_file_exits_two(self, capsys):
         rc = main(["matrix", "compare", "nope.json", "also-nope.json"])
         assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_engine_key_in_spec_is_one_line_error(self, tmp_path, capsys):
         spec = tmp_path / "eng.toml"
